@@ -9,10 +9,16 @@ vertex ids, so no translation is ever needed outside this module.
 The catalog is knitted mesh by mesh from the projective slice: whenever
 all irreducible maps out of a non-injective X are known, tau^{-1}(X) is
 the cokernel of X -> (sum of middle terms), with explicit matrices.
+
+Minimal projective presentations 0 -> P1 -> P0 -> X -> 0 are not computed
+here: kQ-modules are modules over the relation-free path algebra of R, so
+the catalog takes two cover/kernel steps of the one resolution engine in
+`quivers` (`projective_cover`), the same one that computes global
+dimensions of endomorphism algebras.
 """
 
-from .linalg import F0, F1, Mat, Solver, Subspace, nullspace, rank, stack_rows
-from .quivers import QuiverWithRelations, arrow_path
+from .linalg import F0, F1, Mat, Subspace, nullspace, stack_rows
+from .quivers import BoundAlgebra, QuiverWithRelations, RepModule, arrow_path, expand, projective_cover
 
 
 class DynkinTypeError(ValueError):
@@ -80,9 +86,6 @@ class Indec:
         self.proj_vertex = proj_vertex
         self.inj_vertex = inj_vertex
 
-    def total_dim(self):
-        return sum(self.dims.values())
-
 
 class ARCatalog:
     """All indecomposables over a Dynkin path algebra, with tau and hom data."""
@@ -92,6 +95,7 @@ class ARCatalog:
         self.rq = algebra_quiver.opposite()
         self.expected = _dynkin_root_count(algebra_quiver)
         self._rpaths = QuiverWithRelations(self.rq)  # path tables of R, no relations
+        self.alg = BoundAlgebra(self._rpaths)  # kR: its projectives and cover steps
         self.indecs = []
         self.tau_of = {}
         self.tau_inv_of = {}
@@ -148,19 +152,6 @@ class ARCatalog:
 
     # ---- knitting ------------------------------------------------------
 
-    def _proj_rep(self, i):
-        """P(i): basis of P(i)_u is the set of R-paths i -> u."""
-        dims = {u: len(self._rpaths.paths(i, u)) for u in self.q.vertices}
-        mats = {}
-        for a in self.rq.arrows:
-            src_paths = self._rpaths.paths(i, a.src)
-            tgt_index = self._rpaths.path_index(i, a.tgt)
-            m = Mat(dims[a.tgt], dims[a.src])
-            for col, p in enumerate(src_paths):
-                m.a[tgt_index[p.then(arrow_path(a))]][col] = F1
-            mats[a.id] = m
-        return dims, mats
-
     def _knit(self):
         for i in self.q.vertices:
             vec = tuple(len(self._rpaths.paths(u, i)) for u in self.q.vertices)
@@ -168,9 +159,9 @@ class ARCatalog:
 
         in_neighbors = {}
         for i in self.q.vertices:
-            dims, mats = self._proj_rep(i)
+            P = self.alg.projective(i)  # basis of P(i)_u: the R-paths i -> u
             idx = len(self.indecs)
-            self.indecs.append(Indec(idx, dims, mats, 0, proj_vertex=i))
+            self.indecs.append(Indec(idx, P.dims, P.mats, 0, proj_vertex=i))
             self._proj_id[i] = idx
             self.arrows_out[idx] = []
             key = self.dim_vector(idx)
@@ -358,74 +349,20 @@ class ARCatalog:
     # ---- presentations and Ext ------------------------------------------
 
     def min_projective_presentation(self, x):
-        """Minimal 0 -> P1 -> P0 -> X -> 0 with explicit data.
+        """Minimal 0 -> P1 -> P0 -> X -> 0 from two steps of the cover engine.
 
-        Maps out of the projective sums are handled through generator
-        images: a map ProjSum -> N is determined by the images of the slot
-        generators.
+        The base is hereditary, so the kernel of the cover of X is already
+        projective: its own cover P1 has a zero kernel.
         """
         if x in self._pres_cache:
             return self._pres_cache[x]
         ind = self.indecs[x]
-        rad = {u: Subspace(ind.dims[u]) for u in self.q.vertices}
-        for a in self.rq.arrows:
-            m = ind.mats[a.id]
-            for j in range(m.cols):
-                rad[a.tgt].add(m.column(j))
-        p0_slots = []
-        cover_gens = []
-        for u in self.q.vertices:
-            for j in rad[u].complement_indices():
-                e = [F0] * ind.dims[u]
-                e[j] = F1
-                p0_slots.append(u)
-                cover_gens.append(e)
-        P0 = ProjSum(self, p0_slots)
-        cover = P0.expand(cover_gens, ind)
-        for u in self.q.vertices:
-            if rank(cover[u]) != ind.dims[u]:
-                raise AssertionError("projective cover is not surjective")
-        kbasis = {u: nullspace(cover[u]) for u in self.q.vertices}
-        ker_dims = {u: len(kbasis[u]) for u in self.q.vertices}
-        ker_incl = {u: Mat.from_columns(kbasis[u], P0.dims[u]) for u in self.q.vertices}
-        solvers = {u: Solver(ker_incl[u]) for u in self.q.vertices}
-        ker_mats = {}
-        for a in self.rq.arrows:
-            m = Mat(ker_dims[a.tgt], ker_dims[a.src])
-            for j in range(ker_dims[a.src]):
-                img = P0.mats[a.id].apply(kbasis[a.src][j])
-                coords = solvers[a.tgt].solve(img)
-                if coords is None:
-                    raise AssertionError("presentation kernel not arrow-stable")
-                for i in range(ker_dims[a.tgt]):
-                    m.a[i][j] = coords[i]
-            ker_mats[a.id] = m
-        ker = Indec(-1, ker_dims, ker_mats, -1)
-        # the kernel is projective over a hereditary base: split off its top
-        krad = {u: Subspace(ker_dims[u]) for u in self.q.vertices}
-        for a in self.rq.arrows:
-            m = ker_mats[a.id]
-            for j in range(m.cols):
-                krad[a.tgt].add(m.column(j))
-        p1_slots = []
-        p1_gens = []
-        for u in self.q.vertices:
-            for j in krad[u].complement_indices():
-                e = [F0] * ker_dims[u]
-                e[j] = F1
-                p1_slots.append(u)
-                p1_gens.append(e)
-        P1 = ProjSum(self, p1_slots)
-        phi = P1.expand(p1_gens, ker)   # cover of the kernel; iso when ker is projective
-        iota = {}
-        for u in self.q.vertices:
-            if P1.dims[u] != ker_dims[u] or rank(phi[u]) != ker_dims[u]:
-                raise AssertionError("kernel of a cover is not projective; base not hereditary?")
-            iota[u] = ker_incl[u].mul(phi[u])
-        pres = Presentation(x, P0, cover_gens, P1, iota)
-        for u in self.q.vertices:
-            if P1.dims[u] + ind.dims[u] != P0.dims[u]:
-                raise AssertionError("presentation dimension audit failed")
+        top = projective_cover(self.alg, RepModule(self.rq, ind.dims, ind.mats))
+        syz = projective_cover(self.alg, top.K)
+        if not syz.K.is_zero():
+            raise AssertionError("kernel of a cover is not projective; base not hereditary?")
+        iota = {u: top.incl[u].mul(syz.cover[u]) for u in self.q.vertices}
+        pres = Presentation(self.alg, top, syz, iota)
         self._pres_cache[x] = pres
         return pres
 
@@ -442,81 +379,27 @@ class ARCatalog:
         return total - img.dim
 
 
-class ProjSum:
-    """An ordered direct sum of indecomposable projectives P(v).
+class Presentation:
+    """Minimal projective presentation 0 -> P1 --iota--> P0 -> X -> 0.
 
-    The basis at vertex u concatenates, slot by slot, the R-paths v -> u.
-    A homomorphism out of the sum is stored as the list of generator
-    images (one vector per slot).
+    `p0` is the cover step of X (P0, the cover map, its kernel) and `p1`
+    the cover step of that kernel; a map out of P0 or P1 is given by the
+    images of its slot generators.
     """
 
-    def __init__(self, catalog, slots):
-        self.catalog = catalog
-        self.slots = tuple(slots)
-        rp = catalog._rpaths
-        self.dims = {u: 0 for u in catalog.q.vertices}
-        self.offsets = []
-        for v in self.slots:
-            self.offsets.append(dict(self.dims))
-            for u in catalog.q.vertices:
-                self.dims[u] += len(rp.paths(v, u))
-        self.mats = {}
-        for a in catalog.rq.arrows:
-            m = Mat(self.dims[a.tgt], self.dims[a.src])
-            for k, v in enumerate(self.slots):
-                src_paths = rp.paths(v, a.src)
-                tgt_index = rp.path_index(v, a.tgt)
-                for col, p in enumerate(src_paths):
-                    m.a[self.offsets[k][a.tgt] + tgt_index[p.then(arrow_path(a))]][
-                        self.offsets[k][a.src] + col
-                    ] = F1
-            self.mats[a.id] = m
-        # the slot generator (trivial path) sits first in its slot's block
-        self.gen_positions = [self.offsets[k][v] for k, v in enumerate(self.slots)]
-
-    def expand(self, gen_images, target):
-        """Per-vertex matrices of the map sending slot generators to gen_images.
-
-        `target` has .dims and .mats over the catalog's opposite quiver."""
-        rp = self.catalog._rpaths
-        cols = {u: [] for u in self.catalog.q.vertices}
-        for k, v in enumerate(self.slots):
-            g = gen_images[k]
-            for u in self.catalog.q.vertices:
-                for p in rp.paths(v, u):
-                    vec = list(g)
-                    for aid in p.arrows:
-                        vec = target.mats[aid].apply(vec)
-                    cols[u].append(vec)
-        return {u: Mat.from_columns(cols[u], target.dims[u]) for u in self.catalog.q.vertices}
-
-    def gen_image_of(self, mats):
-        """Inverse of expand: read off generator images from per-vertex maps."""
-        return [mats[v].column(self.gen_positions[k]) for k, v in enumerate(self.slots)]
-
-
-class Presentation:
-    """Minimal projective presentation 0 -> P1 --iota--> P0 -> X -> 0."""
-
-    def __init__(self, x, p0, cover_gens, p1, iota):
-        self.x = x
+    def __init__(self, alg, p0, p1, iota):
+        self.alg = alg
         self.p0 = p0
-        self.cover_gens = cover_gens
         self.p1 = p1
         self.iota = iota  # per-vertex Mat: P0.dims[u] x P1.dims[u]
 
     def hom_p1_dim(self, Y):
         return sum(Y.dims[u] for u in self.p1.slots)
 
-    def hom_p0_basis_gens(self):
-        """Generator-image bases of Hom(P0, Y) are produced lazily per Y."""
-        return self.p0.slots
-
     def restriction_columns(self, Y):
         """Images in Hom(P1, Y)-coordinates of the Hom(P0, Y) basis vectors."""
         cols = []
-        for k in range(len(self.p0.slots)):
-            w = self.p0.slots[k]
+        for k, w in enumerate(self.p0.slots):
             for t in range(Y.dims[w]):
                 gens = []
                 for kk, ww in enumerate(self.p0.slots):
@@ -524,22 +407,13 @@ class Presentation:
                     if kk == k:
                         vec[t] = F1
                     gens.append(vec)
-                mats = self.p0.expand(gens, Y)
+                mats = expand(self.alg, self.p0.slots, gens, Y)
                 restricted = {u: mats[u].mul(self.iota[u]) for u in mats}
                 col = []
                 for kk, u in enumerate(self.p1.slots):
                     col.extend(restricted[u].column(self.p1.gen_positions[kk]))
                 cols.append(col)
         return cols
-
-    def restrict_hom(self, Y, p0_gen_images):
-        """Restriction along iota of a map P0 -> Y given by generator images."""
-        mats = self.p0.expand(p0_gen_images, Y)
-        restricted = {u: mats[u].mul(self.iota[u]) for u in mats}
-        col = []
-        for kk, u in enumerate(self.p1.slots):
-            col.extend(restricted[u].column(self.p1.gen_positions[kk]))
-        return col
 
 
 def knit_catalog(q):

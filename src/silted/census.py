@@ -12,13 +12,10 @@ rescaling); the summary carries the class counts a_s / a_t / a_ss that
 the reference tables pin down.
 """
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from .arcatalog import knit_catalog
 from .endo import TwoTermHomCalc, end_algebra
-from .formulas import a_s_mu  # noqa: F401  (re-exported for the CLI)
 from .quivers import (
     Path,
     QuiverWithRelations,
@@ -522,58 +519,6 @@ def realization_complex(orientation, n):
         and all(l >= 3 for l in report["relationLengths"])
     )
     return s, ep, report
-
-
-# ---- catalog disk cache ------------------------------------------------------
-
-
-class CacheMismatch(RuntimeError):
-    pass
-
-
-def cache_file(cache_dir, spec):
-    return os.path.join(cache_dir, f"catalog-{spec.family}-{spec.n}.json")
-
-
-def build_catalog_cache(spec, cache_dir):
-    """Write dimension vectors, tau pairs and the hom-dimension table."""
-    cat = get_catalog(spec)
-    ncat = len(cat)
-    doc = {
-        "family": spec.family,
-        "n": spec.n,
-        "dims": [list(cat.dim_vector(i)) for i in range(ncat)],
-        "tau": {str(k): v for k, v in sorted(cat.tau_of.items())},
-        "proj": {str(v): cat.proj(v) for v in cat.q.vertices},
-        "inj": {str(v): cat.inj(v) for v in cat.q.vertices},
-        "hom": [[cat.hom_dim(i, j) for j in range(ncat)] for i in range(ncat)],
-    }
-    os.makedirs(cache_dir, exist_ok=True)
-    path = cache_file(cache_dir, spec)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    return path
-
-
-def load_catalog_verified(spec, cache_dir):
-    """Re-knit the catalog and verify it against a stored cache file."""
-    cat = get_catalog(spec)
-    path = cache_file(cache_dir, spec)
-    if not os.path.exists(path):
-        return cat, False
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc["n"] != spec.n or doc["family"] != spec.family:
-        raise CacheMismatch("cache file does not match the requested family")
-    if [list(cat.dim_vector(i)) for i in range(len(cat))] != doc["dims"]:
-        raise CacheMismatch("cached dimension vectors disagree with the knitted catalog")
-    if {str(k): v for k, v in sorted(cat.tau_of.items())} != doc["tau"]:
-        raise CacheMismatch("cached tau pairs disagree with the knitted catalog")
-    for i in range(len(cat)):
-        for j in range(len(cat)):
-            if cat.hom_dim(i, j) != doc["hom"][i][j]:
-                raise CacheMismatch("cached hom dimensions disagree")
-    return cat, True
 
 
 def records_to_json(spec, records, summary):

@@ -6,29 +6,28 @@ Subcommands
   count        evaluate one named counting quantity
   tables       three-way verification report (exit 2 on undocumented mismatch)
   realization  the explicit 2-term tilting complex of the realization check
-  cache        build or verify the on-disk catalog cache
 
 Deterministic output: identical invocations print identical bytes.
-Exit codes: 0 success, 1 usage error, 2 verification mismatch.
+
+Exit codes
+  0  success
+  1  usage error (bad arguments, n above the cap, unknown quantity)
+  2  verification mismatch (tables, realization)
+  3  internal invariant failed (a bug: an AssertionError inside a command)
 """
 
 import argparse
 import json
-import os
 import sys
 
 from . import formulas as F
 from .census import (
     AlgebraSpec,
-    build_catalog_cache,
     classify_family,
-    get_catalog,
-    load_catalog_verified,
     realization_complex,
     records_to_json,
     silting_json,
 )
-from .quivers import qwr_to_json
 
 
 QUANTITIES = {
@@ -96,11 +95,6 @@ def _build_parser():
     sp.add_argument("--orientation", choices=["linear", "reversed"], required=True)
     sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
 
-    sp = sub.add_parser("cache", help="catalog cache maintenance")
-    sp.add_argument("action", choices=["build", "verify"])
-    sp.add_argument("--family", required=True, choices=["a", "d-linear", "d-reversed", "b"])
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--cache-dir", default=None)
     return p
 
 
@@ -228,20 +222,12 @@ def run(argv):
                 for k, v in report.items():
                     print(f"- {k}: {v}")
             return 0 if report["hypothesesVerified"] else 2
-
-        if args.cmd == "cache":
-            cache_dir = args.cache_dir or os.environ.get("SILTED_CACHE_DIR") or ".silted-cache"
-            spec = AlgebraSpec(args.family, args.n)
-            if args.action == "build":
-                path = build_catalog_cache(spec, cache_dir)
-                print(path)
-                return 0
-            _, verified = load_catalog_verified(spec, cache_dir)
-            print("verified" if verified else "no cache file; knitted fresh")
-            return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 3
     return 1
 
 

@@ -16,7 +16,7 @@ of the kernel ideal), audited against the total hom dimension.
 """
 
 from .linalg import F0, F1, Mat, Solver, Subspace, nullspace
-from .quivers import Arrow, Path, Quiver, QuiverWithRelations, Relation
+from .quivers import Arrow, Path, Quiver, QuiverWithRelations, Relation, expand
 
 
 MOD = "m"
@@ -126,29 +126,6 @@ class TwoTermHomCalc:
             out.extend(mats[u].flatten())
         return out
 
-    def element(self, space, coords):
-        """Concrete representative of a coordinate vector."""
-        if space.kind in ("mm", "ss"):
-            X = self.cat.indecs[space.data["x"]]
-            Y = self.cat.indecs[space.data["y"]]
-            mats = {u: Mat(Y.dims[u], X.dims[u]) for u in self.cat.q.vertices}
-            for c, b in zip(coords, space.data["basis"]):
-                if c == 0:
-                    continue
-                for u in self.cat.q.vertices:
-                    mats[u] = mats[u].add(b[u].scale(c))
-            return mats
-        if space.kind == "ms":
-            total = space.data["sub"].ambient
-            vec = [F0] * total
-            for c, rep in zip(coords, space.data["basis"]):
-                if c == 0:
-                    continue
-                for i in range(total):
-                    vec[i] += c * rep[i]
-            return vec
-        return None
-
     # ---- composition -----------------------------------------------------
 
     def compose(self, src, mid, tgt, f, g):
@@ -175,9 +152,7 @@ class TwoTermHomCalc:
         if y in self._cover_solver_cache:
             return self._cover_solver_cache[y]
         pres = self.cat.min_projective_presentation(y)
-        Y = self.cat.indecs[y]
-        cover = pres.p0.expand(pres.cover_gens, Y)
-        solvers = {u: Solver(cover[u]) for u in self.cat.q.vertices}
+        solvers = {u: Solver(pres.p0.cover[u]) for u in self.cat.q.vertices}
         self._cover_solver_cache[y] = (pres, solvers)
         return pres, solvers
 
@@ -195,17 +170,17 @@ class TwoTermHomCalc:
         pres_y, cover_solvers = self._cover_solvers(y)
         gens0 = []
         for k, w in enumerate(pres_x.p0.slots):
-            target_vec = f[w].apply(pres_x.cover_gens[k])
+            target_vec = f[w].apply(pres_x.p0.gens[k])
             y0 = cover_solvers[w].solve(target_vec)
             if y0 is None:
                 raise AssertionError("projective cover factorization failed")
             gens0.append(y0)
-        f0 = pres_x.p0.expand(gens0, _ProjView(pres_y.p0))
+        f0 = expand(self.cat.alg, pres_x.p0.slots, gens0, pres_y.p0.P)
         iota_solvers = self._iota_solvers(y)
         f1 = {}
         for u in self.cat.q.vertices:
             m = f0[u].mul(pres_x.iota[u])
-            out = Mat(pres_y.p1.dims[u], pres_x.p1.dims[u])
+            out = Mat(pres_y.p1.P.dims[u], pres_x.p1.P.dims[u])
             for j in range(m.cols):
                 sol = iota_solvers[u].solve(m.column(j))
                 if sol is None:
@@ -224,20 +199,12 @@ class TwoTermHomCalc:
         for u in pres_y.p1.slots:
             gens.append(eta[off:off + P.dims[u]])
             off += P.dims[u]
-        eta_mats = pres_y.p1.expand(gens, P)
+        eta_mats = expand(self.cat.alg, pres_y.p1.slots, gens, P)
         comp = {u: eta_mats[u].mul(f1[u]) for u in self.cat.q.vertices}
         out = []
         for k, u in enumerate(pres_x.p1.slots):
             out.extend(comp[u].column(pres_x.p1.gen_positions[k]))
         return out
-
-
-class _ProjView:
-    """Adapter giving a ProjSum the .dims/.mats interface of a representation."""
-
-    def __init__(self, projsum):
-        self.dims = projsum.dims
-        self.mats = projsum.mats
 
 
 class EndPresentation:

@@ -31,26 +31,12 @@ class Mat:
             self.a = [[Fraction(x) for x in r] for r in entries]
 
     @staticmethod
-    def identity(n):
-        m = Mat(n, n)
-        for i in range(n):
-            m.a[i][i] = F1
-        return m
-
-    @staticmethod
-    def zero(rows, cols):
-        return Mat(rows, cols)
-
-    @staticmethod
     def from_columns(cols_list, rows):
         m = Mat(rows, len(cols_list))
         for j, col in enumerate(cols_list):
             for i in range(rows):
                 m.a[i][j] = col[i]
         return m
-
-    def copy(self):
-        return Mat(self.rows, self.cols, self.a)
 
     def column(self, j):
         return [self.a[i][j] for i in range(self.rows)]
@@ -65,9 +51,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {self.a})"
-
-    def is_zero(self):
-        return all(x == 0 for row in self.a for x in row)
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -86,15 +69,6 @@ class Mat:
                         orow[j] += x * brow[j]
         return out
 
-    def add(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in add")
-        return Mat(self.rows, self.cols, [[self.a[i][j] + other.a[i][j] for j in range(self.cols)] for i in range(self.rows)])
-
-    def scale(self, c):
-        c = Fraction(c)
-        return Mat(self.rows, self.cols, [[c * x for x in row] for row in self.a])
-
     def apply(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -103,8 +77,6 @@ class Mat:
     def flatten(self):
         return [x for row in self.a for x in row]
 
-    def transpose(self):
-        return Mat(self.cols, self.rows, [[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
 
 def stack_rows(mats, cols):
@@ -168,12 +140,6 @@ class Subspace:
         self.pivots.insert(k, piv)
         return True
 
-    def add_all(self, vecs):
-        grew = False
-        for v in vecs:
-            grew = self.add(v) or grew
-        return grew
-
     def complement_indices(self):
         pivset = set(self.pivots)
         return [j for j in range(self.ambient) if j not in pivset]
@@ -186,9 +152,6 @@ class Subspace:
     def basis(self):
         return [list(r) for r in self.rows]
 
-    def key(self):
-        """Hashable canonical form (rref rows), usable for subspace equality."""
-        return tuple(tuple(r) for r in self.rows)
 
 
 def rref(mat):
@@ -206,16 +169,12 @@ def rank(mat):
     return sp.dim
 
 
-def column_space(mat):
-    """Subspace of Q^rows spanned by the columns."""
-    sp = Subspace(mat.rows)
-    for j in range(mat.cols):
-        sp.add(mat.column(j))
-    return sp
+def kernel(mat):
+    """Canonical basis of the right kernel and its free columns.
 
-
-def nullspace(mat):
-    """Canonical basis of the right kernel, ordered by free column index."""
+    Basis vector k is 1 at free[k] and 0 at every other free column, so the
+    coordinates of a kernel vector in this basis are its free entries.
+    """
     rows, pivots = rref(mat)
     pivset = set(pivots)
     free = [j for j in range(mat.cols) if j not in pivset]
@@ -226,21 +185,12 @@ def nullspace(mat):
         for row, p in zip(rows, pivots):
             v[p] = -row[f]
         basis.append(v)
-    return basis
+    return basis, free
 
 
-def solve(mat, rhs):
-    """One solution of mat * x = rhs (free variables set to 0), or None."""
-    aug = Mat(mat.rows, mat.cols + 1)
-    for i in range(mat.rows):
-        aug.a[i] = list(mat.a[i]) + [Fraction(rhs[i])]
-    rows, pivots = rref(aug)
-    x = [F0] * mat.cols
-    for row, p in zip(rows, pivots):
-        if p == mat.cols:
-            return None
-        x[p] = row[mat.cols]
-    return x
+def nullspace(mat):
+    """Canonical basis of the right kernel, ordered by free column index."""
+    return kernel(mat)[0]
 
 
 def integer_solve(emat, b):
@@ -344,9 +294,8 @@ class Solver:
                 continue
             val = sum((row[n + i] * rhs[i] for i in range(self.mat.rows)), F0)
             x[p] = val
-        # verify (guards against free-variable interaction)
-        chk = self.mat.apply(x)
-        if chk != list(map(Fraction, rhs)):
-            # fall back to a full solve; inconsistent systems return None
-            return solve(self.mat, rhs)
+        # the rows with pivot >= n span the left null space of mat, so a
+        # consistent right-hand side always satisfies this check
+        if self.mat.apply(x) != list(map(Fraction, rhs)):
+            raise AssertionError("Solver returned a non-solution of a consistent system")
         return x

@@ -4,6 +4,11 @@ A quiver with relations is the presentation format for every algebra in
 this package: the Dynkin path algebras we enumerate over and the
 endomorphism algebras the census produces.  Paths compose left to right
 (`p.then(q)` walks p first).  All linear algebra on path spaces is exact.
+
+`projective_cover` is the package's one projective-resolution engine: a
+single cover/kernel step 0 -> K -> P -> M -> 0 over a bound quiver
+algebra.  Global dimension iterates it on simples, and the AR catalog
+builds its minimal presentations from two steps over the hereditary base.
 """
 
 from dataclasses import dataclass
@@ -11,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .linalg import F0, F1, Mat, Subspace, nullspace
+from .linalg import F0, F1, Mat, Subspace, kernel, nullspace
 
 
 @dataclass(frozen=True)
@@ -240,9 +245,6 @@ class QuiverWithRelations:
         self._ideal = spans
         return spans
 
-    def in_ideal(self, rel):
-        return self.ideal_spans()[(rel.source, rel.target)].contains(self.relation_vector(rel))
-
     def algebra_dimension(self):
         """Dimension of kQ/I = total path count minus ideal dimension."""
         spans = self.ideal_spans()
@@ -253,11 +255,6 @@ class QuiverWithRelations:
                 if plist:
                     total += len(plist) - spans[(u, v)].dim
         return total
-
-    def admissible(self):
-        """Relations live in the arrow-ideal square (guaranteed by Relation),
-        and the quotient is finite dimensional (automatic when acyclic)."""
-        return self.quiver.is_acyclic()
 
 
 # ---- spec operations ----------------------------------------------------
@@ -421,7 +418,7 @@ def is_gradable(q):
 
 
 class BoundAlgebra:
-    """kQ/I with a canonical path basis, enough structure to resolve simples.
+    """kQ/I with a canonical path basis, enough structure to resolve modules.
 
     Modules are kept as representations of Q (a space per vertex, a matrix
     per arrow) that satisfy the relations.
@@ -434,15 +431,13 @@ class BoundAlgebra:
         self.q = qwr.quiver
         spans = qwr.ideal_spans()
         self.basis = {}       # (u,v) -> list of representative paths
-        self.basis_index = {}
         for u in self.q.vertices:
             for v in self.q.vertices:
                 plist = qwr.paths(u, v)
                 if not plist:
                     continue
-                reps = [plist[j] for j in spans[(u, v)].complement_indices()]
-                self.basis[(u, v)] = reps
-                self.basis_index[(u, v)] = {p: i for i, p in enumerate(reps)}
+                self.basis[(u, v)] = [plist[j] for j in spans[(u, v)].complement_indices()]
+        self._projectives = {}
 
     def reduce_path(self, path):
         """Coordinates of a path in the canonical basis of its path space."""
@@ -456,6 +451,8 @@ class BoundAlgebra:
 
     def projective(self, i):
         """P(i) as a representation: basis of P(i)_u is the reduced paths i->u."""
+        if i in self._projectives:
+            return self._projectives[i]
         dims = {u: len(self.basis.get((i, u), [])) for u in self.q.vertices}
         mats = {}
         for a in self.q.arrows:
@@ -466,7 +463,9 @@ class BoundAlgebra:
                 for row, x in enumerate(coords):
                     m.a[row][col] = x
             mats[a.id] = m
-        return RepModule(self.q, dims, mats)
+        P = RepModule(self.q, dims, mats)
+        self._projectives[i] = P
+        return P
 
 
 class RepModule:
@@ -479,9 +478,6 @@ class RepModule:
 
     def is_zero(self):
         return all(d == 0 for d in self.dims.values())
-
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def radical_subspaces(self):
         rad = {v: Subspace(self.dims[v]) for v in self.q.vertices}
@@ -498,72 +494,93 @@ def simple_module(q, v):
     return RepModule(q, dims, mats)
 
 
-def _projective_cover_and_kernel(alg, mod):
-    """Return (cover multiplicities, kernel RepModule) for a module."""
+class CoverStep:
+    """One step of a minimal projective resolution: 0 -> K -> P -> M -> 0.
+
+    P is the sum of P(v) over `slots`; the basis of P at u concatenates,
+    slot by slot, the reduced paths v -> u, so slot k's generator (the
+    trivial path) sits at position `gen_positions[k]` of P at its vertex.
+    `cover` maps the k-th generator to `gens[k]` in M; `incl` is the
+    inclusion of K as the columns of the nullspace basis of `cover`.
+    """
+
+    __slots__ = ("slots", "gens", "gen_positions", "P", "cover", "K", "incl")
+
+    def __init__(self, slots, gens, gen_positions, P, cover, K, incl):
+        self.slots = slots
+        self.gens = gens
+        self.gen_positions = gen_positions
+        self.P = P
+        self.cover = cover
+        self.K = K
+        self.incl = incl
+
+
+def expand(alg, slots, gen_images, target):
+    """Per-vertex matrices of the map from the sum of P(v), v in slots, to
+    `target` (anything with .dims and .mats) sending the k-th slot
+    generator to gen_images[k]."""
+    cols = {u: [] for u in alg.q.vertices}
+    for v, g in zip(slots, gen_images):
+        for u in alg.q.vertices:
+            for p in alg.basis.get((v, u), []):
+                cols[u].append(_act_along_path(target, g, p))
+    return {u: Mat.from_columns(cols[u], target.dims[u]) for u in alg.q.vertices}
+
+
+def projective_cover(alg, mod):
+    """The projective cover of `mod` and its kernel, as a CoverStep."""
     q = alg.q
     rad = mod.radical_subspaces()
-    gen_vectors = {}   # vertex -> list of top representatives
+    slots = []
+    gens = []
     for v in q.vertices:
-        comp = rad[v].complement_indices()
-        gens = []
-        for j in comp:
+        for j in rad[v].complement_indices():
             e = [F0] * mod.dims[v]
             e[j] = F1
+            slots.append(v)
             gens.append(e)
-        gen_vectors[v] = gens
-    # Cover P = direct sum over v of P(v)^{#gens}; expand the cover map per vertex.
-    projs = {v: alg.projective(v) for v in q.vertices if gen_vectors[v]}
-    slots = []  # (vertex, generator vector)
-    for v in q.vertices:
-        for g in gen_vectors[v]:
-            slots.append((v, g))
-    # basis of P at vertex u: for each slot (v,g), the reduced paths v->u
-    cover_cols = {u: [] for u in q.vertices}
-    slot_offsets = []
-    for (v, g) in slots:
-        offs = {}
+    cover = expand(alg, slots, gens, mod)
+    # P is block diagonal in the projectives P(v), one block per slot
+    P_dims = {u: 0 for u in q.vertices}
+    offsets = []
+    for v in slots:
+        offsets.append(dict(P_dims))
         for u in q.vertices:
-            offs[u] = len(cover_cols[u])
-            for p in alg.basis.get((v, u), []):
-                cover_cols[u].append(_act_along_path(mod, g, p))
-        slot_offsets.append(offs)
-    P_dims = {u: len(cover_cols[u]) for u in q.vertices}
-    cover = {u: Mat.from_columns(cover_cols[u], mod.dims[u]) if P_dims[u] else Mat(mod.dims[u], 0) for u in q.vertices}
-    # P's arrow matrices
+            P_dims[u] += alg.projective(v).dims[u]
     P_mats = {}
     for a in q.arrows:
         m = Mat(P_dims[a.tgt], P_dims[a.src])
-        col = 0
-        for k, (v, g) in enumerate(slots):
-            src_basis = alg.basis.get((v, a.src), [])
-            tgt_index = alg.basis_index.get((v, a.tgt), {})
-            base = slot_offsets[k][a.tgt]
-            for p in src_basis:
-                coords = alg.reduce_path(p.then(arrow_path(a)))
-                for row, x in enumerate(coords):
-                    m.a[base + row][col] = x
-                col += 1
+        for v, offs in zip(slots, offsets):
+            blk = alg.projective(v).mats[a.id]
+            r0, c0 = offs[a.tgt], offs[a.src]
+            for i in range(blk.rows):
+                row = m.a[r0 + i]
+                for j, x in enumerate(blk.a[i]):
+                    row[c0 + j] = x
         P_mats[a.id] = m
     P = RepModule(q, P_dims, P_mats)
-    # kernel per vertex, then induced arrow maps
-    kbasis = {u: nullspace(cover[u]) for u in q.vertices}
-    K_dims = {u: len(kbasis[u]) for u in q.vertices}
-    incl = {u: Mat.from_columns(kbasis[u], P_dims[u]) if K_dims[u] else Mat(P_dims[u], 0) for u in q.vertices}
+    # the nullspace basis is the identity on the free columns, so a kernel
+    # vector's coordinates are its entries there
+    kbasis = {}
+    free = {}
+    for u in q.vertices:
+        kbasis[u], free[u] = kernel(cover[u])
+        if P_dims[u] - len(free[u]) != mod.dims[u]:
+            raise AssertionError("projective cover is not surjective")
     K_mats = {}
-    from .linalg import Solver
-    solvers = {u: Solver(incl[u]) for u in q.vertices}
     for a in q.arrows:
-        m = Mat(K_dims[a.tgt], K_dims[a.src])
-        for j in range(K_dims[a.src]):
-            img = P_mats[a.id].apply(kbasis[a.src][j])
-            coords = solvers[a.tgt].solve(img)
-            if coords is None:
+        cols = []
+        for kv in kbasis[a.src]:
+            img = P_mats[a.id].apply(kv)
+            if any(x != 0 for x in cover[a.tgt].apply(img)):
                 raise AssertionError("kernel not arrow-stable; relation bookkeeping broken")
-            for i in range(K_dims[a.tgt]):
-                m.a[i][j] = coords[i]
-        K_mats[a.id] = m
-    K = RepModule(q, K_dims, K_mats)
-    return P, K
+            cols.append([img[f] for f in free[a.tgt]])
+        K_mats[a.id] = Mat.from_columns(cols, len(free[a.tgt]))
+    K = RepModule(q, {u: len(free[u]) for u in q.vertices}, K_mats)
+    incl = {u: Mat.from_columns(kbasis[u], P_dims[u]) for u in q.vertices}
+    gen_positions = [offs[v] for v, offs in zip(slots, offsets)]
+    return CoverStep(tuple(slots), gens, gen_positions, P, cover, K, incl)
 
 
 def _act_along_path(mod, vec, path):
@@ -584,11 +601,10 @@ def global_dimension(qwr):
         mod = simple_module(qwr.quiver, v)
         pd = 0
         while True:
-            _, K = _projective_cover_and_kernel(alg, mod)
-            if K.is_zero():
+            mod = projective_cover(alg, mod).K
+            if mod.is_zero():
                 break
             pd += 1
-            mod = K
             if pd > cap:
                 raise AssertionError("projective resolution did not terminate")
         best = max(best, pd)

@@ -102,7 +102,7 @@ def test_presentation_dimension_exactness():
     for x in range(len(cat)):
         pres = cat.min_projective_presentation(x)
         for u in cat.q.vertices:
-            assert pres.p1.dims[u] + cat.indecs[x].dims[u] == pres.p0.dims[u]
+            assert pres.p1.P.dims[u] + cat.indecs[x].dims[u] == pres.p0.P.dims[u]
 
 
 # ---- hom spaces --------------------------------------------------------------

@@ -4,14 +4,11 @@ import pytest
 
 from silted.census import (
     AlgebraSpec,
-    CacheMismatch,
-    build_catalog_cache,
     classify_family,
     delta_enumerated,
     expected_realization_end,
     get_catalog,
     lambda_family_label,
-    load_catalog_verified,
     realization_complex,
     records_to_json,
     star_crosscheck,
@@ -196,19 +193,6 @@ def test_records_json_roundtrip():
     assert parsed["summary"]["a_s"] == 13
     assert len(parsed["records"]) == 50
     assert parsed["records"][0]["gldim"] in (0, 1, 2, 3)
-
-
-def test_catalog_cache_roundtrip(tmp_path):
-    spec = AlgebraSpec("d-linear", 4)
-    path = build_catalog_cache(spec, str(tmp_path))
-    cat, verified = load_catalog_verified(spec, str(tmp_path))
-    assert verified
-    # corrupt the cache and expect a mismatch
-    doc = json.load(open(path))
-    doc["hom"][0][1] += 1
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(CacheMismatch):
-        load_catalog_verified(spec, str(tmp_path))
 
 
 def test_n_cap():

@@ -10,10 +10,10 @@ from silted.linalg import (
     Solver,
     Subspace,
     integer_solve,
+    kernel,
     nullspace,
     rank,
     rref,
-    solve,
     stack_rows,
 )
 
@@ -47,13 +47,19 @@ def test_rref_rank_nullspace():
     assert len(ns) == 1
     for row in m.a:
         assert sum(x * y for x, y in zip(row, ns[0])) == 0
-
-
-def test_solve_consistency():
-    m = Mat(2, 2, [[1, 1], [0, 1]])
-    assert solve(m, [3, 1]) == [fr(2), fr(1)]
-    singular = Mat(2, 2, [[1, 1], [1, 1]])
-    assert solve(singular, [1, 2]) is None
+    # the basis is the identity on the free columns, so kernel coordinates
+    # can be read off there
+    rng = random.Random(3)
+    for _ in range(50):
+        r, c = rng.randint(1, 4), rng.randint(1, 6)
+        m = Mat(r, c, [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
+        _, pivots = rref(m)
+        free = [j for j in range(c) if j not in pivots]
+        basis, got_free = kernel(m)
+        assert got_free == free and basis == nullspace(m)
+        assert [[v[f] for f in free] for v in basis] == [
+            [F1 if i == k else F0 for i in range(len(free))] for k in range(len(free))
+        ]
 
 
 def test_solver_many_rhs():
