@@ -12,6 +12,7 @@ rescaling); the summary carries the class counts a_s / a_t / a_ss that
 the reference tables pin down.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .arcatalog import knit_catalog
@@ -208,27 +209,58 @@ def gamma_case_label(cat, s):
     return "case-III"
 
 
-def classify_record(cat, calc, s, spec):
-    ep = end_algebra(s, cat, calc)
-    comps = []
+@contextmanager
+def _naming_object(cat, spec, s):
+    """Re-raise an AssertionError with the family, rank and silting object."""
+    try:
+        yield
+    except AssertionError as exc:
+        mods = ["M(" + ",".join(map(str, cat.dim_vector(x))) + ")" for x in s.modules]
+        summands = " + ".join(mods + [f"P({v})[1]" for v in s.shifted])
+        raise AssertionError(
+            f"{exc} (family {spec.family}, n={spec.n}, silting object {summands})"
+        ) from exc
+
+
+def _component_gldims(ep, gldims):
+    """The components of End with their global dimensions, as pairs.
+
+    gldims maps an exact component presentation to its global dimension;
+    one census run shares it, so a presentation is resolved once.
+    """
+    out = []
     for cq in connected_components(ep.qwr):
-        g = global_dimension(cq)
+        q = cq.quiver
+        key = (q.vertices, tuple((a.id, a.src, a.tgt) for a in q.arrows), cq.relations)
+        g = gldims.get(key)
+        if g is None:
+            g = gldims[key] = global_dimension(cq)
         if g > 3:
             raise AssertionError("component with global dimension > 3 in a silted census")
-        comps.append(
+        out.append((cq, g))
+    return out
+
+
+def classify_record(cat, calc, s, spec, gldims):
+    with _naming_object(cat, spec, s):
+        ep = end_algebra(s, cat, calc)
+        comps = [
             ComponentInfo(cq, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq))
-        )
-    gd = max((c.gldim for c in comps), default=0)
-    if spec.family == "d-linear":
-        label = lambda_family_label(cat, s)
-        if gd == 3 and label != "B7":
-            raise AssertionError("strictly shod record outside the B7 shape")
-    elif spec.family == "d-reversed":
-        label = "C14" if gd == 3 else gamma_case_label(cat, s)
-    else:
-        label = "unassigned"
-    is_tilt_complex = is_two_term_tilting(s, cat)
-    rec = ClassificationRecord(
+            for cq, g in _component_gldims(ep, gldims)
+        ]
+        gd = max((c.gldim for c in comps), default=0)
+        if spec.family == "d-linear":
+            label = lambda_family_label(cat, s)
+            if gd == 3 and label != "B7":
+                raise AssertionError("strictly shod record outside the B7 shape")
+        elif spec.family == "d-reversed":
+            label = "C14" if gd == 3 else gamma_case_label(cat, s)
+        else:
+            label = "unassigned"
+        is_tilt_complex = is_two_term_tilting(s, cat)
+        if is_tilt_complex and gd > 2:
+            raise AssertionError("2-term tilting complex with gldim > 2")
+    return ClassificationRecord(
         silting=s,
         end=ep,
         components=comps,
@@ -237,9 +269,6 @@ def classify_record(cat, calc, s, spec):
         is_tilting_module=not s.shifted,
         is_tilting_complex=is_tilt_complex,
     )
-    if is_tilt_complex and gd > 2:
-        raise AssertionError("2-term tilting complex with gldim > 2")
-    return rec
 
 
 class _Dedup:
@@ -267,7 +296,8 @@ def classify_family(spec, n_cap=9):
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
     silts = enumerate_two_term_silting(cat)
-    records = [classify_record(cat, calc, s, spec) for s in silts]
+    gldims = {}
+    records = [classify_record(cat, calc, s, spec, gldims) for s in silts]
     dedup = _Dedup()
     for rec in records:
         rec.iso_class, _ = dedup.locate(rec.end.qwr)
@@ -337,24 +367,22 @@ def strictly_shod_census(spec, shape_check=None):
         shape_check = spec.family == "d-linear"
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
+    gldims = {}
     flagged = []
     for s in enumerate_two_term_silting(cat):
-        ep = end_algebra(s, cat, calc)
-        comps = connected_components(ep.qwr)
-        gds = [global_dimension(c) for c in comps]
-        g = max(gds)
-        if g > 3:
-            raise AssertionError("component with global dimension > 3")
-        if g != 3:
-            continue
-        for cq, cg in zip(comps, gds):
-            if cg == 3 and not is_string_algebra(cq):
-                raise AssertionError("strictly shod component is not a string algebra")
-        if shape_check:
-            if lambda_family_label(cat, s) != "B7":
-                raise AssertionError("strictly shod record outside the expected shape")
-            if not _staggered_overlap(ep.qwr):
-                raise AssertionError("strictly shod record lacks overlapping zero relations")
+        with _naming_object(cat, spec, s):
+            ep = end_algebra(s, cat, calc)
+            comps = _component_gldims(ep, gldims)
+            if max(g for _cq, g in comps) != 3:
+                continue
+            for cq, g in comps:
+                if g == 3 and not is_string_algebra(cq):
+                    raise AssertionError("strictly shod component is not a string algebra")
+            if shape_check:
+                if lambda_family_label(cat, s) != "B7":
+                    raise AssertionError("strictly shod record outside the expected shape")
+                if not _staggered_overlap(ep.qwr):
+                    raise AssertionError("strictly shod record lacks overlapping zero relations")
         flagged.append((s, ep))
     dedup = _Dedup()
     out = []

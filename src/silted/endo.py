@@ -10,9 +10,18 @@ hereditary base:
   Hom(P(v)[1], P(w)[1]) = Hom(P(v), P(w)).
 
 Compositions through the shifted part are chain-level: module maps are
-lifted to presentations and composed on the P1 component.  The output is
-a quiver with relations (the Gabriel quiver with a minimal generating set
-of the kernel ideal), audited against the total hom dimension.
+lifted to presentations and composed on the P1 component.  Each
+composite of two basis maps is computed once per calc object and stored
+as coordinates: `TwoTermHomCalc.mult(src, mid, tgt)` is the table of
+structure constants C[a][b] = coords(g_b . f_a).  `end_algebra` works
+on coordinate vectors and this table alone.  That is exact because
+composition is bilinear and `coords` is linear, and because a class in
+Hom(M, P(v)[1]) has a well-defined composite with any map P(v)[1] ->
+P(w)[1]: post-composition sends maps that factor through the syzygy
+inclusion of M into maps that factor through it, so the composite of any
+representative lands in the same class.  The output is a quiver with
+relations (the Gabriel quiver with a minimal generating set of the kernel
+ideal), audited against the total hom dimension.
 """
 
 from .linalg import F0, F1, Mat, Solver, Subspace, nullspace
@@ -45,6 +54,7 @@ class TwoTermHomCalc:
         self._iota_solver_cache = {}
         self._mm_solver_cache = {}
         self._space_cache = {}
+        self._mult_cache = {}
 
     # ---- space constructors -------------------------------------------
 
@@ -127,6 +137,25 @@ class TwoTermHomCalc:
         return out
 
     # ---- composition -----------------------------------------------------
+
+    def mult(self, src, mid, tgt):
+        """Structure constants C[a][b] = coords of (basis b) . (basis a).
+
+        a runs over the basis of Hom(src, mid), b over that of Hom(mid, tgt);
+        each entry is a coordinate vector in Hom(src, tgt).  Filled on first
+        use of the triple and kept for the life of the calc.
+        """
+        key = (src, mid, tgt)
+        table = self._mult_cache.get(key)
+        if table is None:
+            out_space = self.space(src, tgt)
+            gs = self.space(mid, tgt).basis()
+            table = [
+                [self.coords(out_space, self.compose(src, mid, tgt, f, g)) for g in gs]
+                for f in self.space(src, mid).basis()
+            ]
+            self._mult_cache[key] = table
+        return table
 
     def compose(self, src, mid, tgt, f, g):
         """Concrete composite g . f for f: src -> mid, g: mid -> tgt."""
@@ -231,14 +260,14 @@ def hom_two_term(calc, src, tgt):
     return calc.space(src, tgt)
 
 
-def end_algebra(silt, cat, calc=None, audit=True):
+def end_algebra(silt, cat, calc=None):
     """Quiver-with-relations presentation of End(S) for a 2-term silting S.
 
     Vertices are numbered 1..n in summand order (modules ascending, then
     shifted vertices ascending); arrows are canonical rad/rad^2 witnesses;
     relations are a minimal generating set of the kernel of the path
-    evaluation map onto the hom algebra.  With audit=True the dimension of
-    the presented algebra is checked against the total hom dimension.
+    evaluation map onto the hom algebra.  The dimension of the presented
+    algebra is checked against the total hom dimension.
     """
     if calc is None:
         calc = TwoTermHomCalc(cat)
@@ -246,11 +275,7 @@ def end_algebra(silt, cat, calc=None, audit=True):
         (SHIFT, v) for v in sorted(silt.shifted)
     ]
     n = len(summands)
-    spaces = {}
-    for i in range(n):
-        for j in range(n):
-            spaces[(i, j)] = calc.space(summands[i], summands[j])
-    h = [[spaces[(i, j)].dim for j in range(n)] for i in range(n)]
+    h = [[calc.space(summands[i], summands[j]).dim for j in range(n)] for i in range(n)]
     for i in range(n):
         if h[i][i] != 1:
             raise AssertionError("summand is not a brick; End extraction invalid")
@@ -258,21 +283,9 @@ def end_algebra(silt, cat, calc=None, audit=True):
             if i != j and h[i][j] and h[j][i]:
                 raise AssertionError("hom spaces both ways; End is not directed")
 
-    rad2 = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j or h[i][j] == 0:
-                continue
-            span = Subspace(h[i][j])
-            for k in range(n):
-                if k == i or k == j or h[i][k] == 0 or h[k][j] == 0:
-                    continue
-                for f in spaces[(i, k)].basis():
-                    for g in spaces[(k, j)].basis():
-                        comp = calc.compose(summands[i], summands[k], summands[j], f, g)
-                        span.add(calc.coords(spaces[(i, j)], comp))
-            rad2[(i, j)] = span
-
+    # The arrows i -> j are the basis maps of Hom(i, j) that leave the span
+    # of rad^2 (composites through a third summand), taken greedily; an
+    # arrow's witness is the index of its basis map.
     arrows = []
     witnesses = {}
     arrow_id = 1
@@ -281,14 +294,18 @@ def end_algebra(silt, cat, calc=None, audit=True):
             if i == j or h[i][j] == 0:
                 continue
             span = Subspace(h[i][j])
-            for row in rad2[(i, j)].basis():
-                span.add(row)
+            for k in range(n):
+                if k == i or k == j or h[i][k] == 0 or h[k][j] == 0:
+                    continue
+                for row in calc.mult(summands[i], summands[k], summands[j]):
+                    for vec in row:
+                        span.add(vec)
             for t in range(h[i][j]):
                 e = [F0] * h[i][j]
                 e[t] = F1
                 if span.add(e):
                     arrows.append(Arrow(arrow_id, i + 1, j + 1))
-                    witnesses[arrow_id] = spaces[(i, j)].data["basis"][t]
+                    witnesses[arrow_id] = t
                     arrow_id += 1
 
     gq = Quiver(range(1, n + 1), arrows)
@@ -299,19 +316,23 @@ def end_algebra(silt, cat, calc=None, audit=True):
     paths_by_pair = {}
     eval_by_path = {}
 
-    def dfs(path_arrows, src, cur, concrete):
+    def dfs(path_arrows, src, cur, vec):
+        """Walk paths out of src; vec holds the coordinates of the path so far."""
         for a in out_by_vertex[cur]:
-            wit = witnesses[a.id]
+            t = witnesses[a.id]
+            out = [F0] * h[src - 1][a.tgt - 1]
             if path_arrows:
-                comp = calc.compose(
-                    summands[src - 1], summands[cur - 1], summands[a.tgt - 1], concrete, wit
-                )
+                table = calc.mult(summands[src - 1], summands[cur - 1], summands[a.tgt - 1])
+                for x, row in zip(vec, table):
+                    if x:
+                        for d, c in enumerate(row[t]):
+                            out[d] += x * c
             else:
-                comp = wit
+                out[t] = F1
             new_path = path_arrows + (a.id,)
             paths_by_pair.setdefault((src, a.tgt), []).append(new_path)
-            eval_by_path[new_path] = comp
-            dfs(new_path, src, a.tgt, comp)
+            eval_by_path[new_path] = out
+            dfs(new_path, src, a.tgt, out)
 
     for v in gq.vertices:
         dfs((), v, v, None)
@@ -320,9 +341,7 @@ def end_algebra(silt, cat, calc=None, audit=True):
     kernels = {}
     for (u, v), plist in paths_by_pair.items():
         plist.sort(key=lambda p: (len(p), p))
-        space = spaces[(u - 1, v - 1)]
-        cols = [calc.coords(space, eval_by_path[p]) for p in plist]
-        emat = Mat.from_columns(cols, space.dim)
+        emat = Mat.from_columns([eval_by_path[p] for p in plist], h[u - 1][v - 1])
         kvecs = nullspace(emat)
         for kv in kvecs:
             for c, p in zip(kv, plist):
@@ -367,7 +386,7 @@ def end_algebra(silt, cat, calc=None, audit=True):
 
     qwr = QuiverWithRelations(gq, relations)
     total = sum(sum(row) for row in h)
-    if audit and qwr.algebra_dimension() != total:
+    if qwr.algebra_dimension() != total:
         raise AssertionError("presentation audit failed: ideal does not match kernels")
     provenance = {}
     for idx, s in enumerate(summands):

@@ -120,6 +120,30 @@ def test_strictly_shod_census_gamma():
     assert count == 2
 
 
+def test_gldim_resolved_once_per_presentation(monkeypatch):
+    import silted.census
+    from silted.quivers import global_dimension, qwr_to_json
+
+    seen = []
+
+    def counting(qwr):
+        seen.append(json.dumps(qwr_to_json(qwr), sort_keys=True))
+        return global_dimension(qwr)
+
+    monkeypatch.setattr(silted.census, "global_dimension", counting)
+    records, _ = classify_family(AlgebraSpec("d-linear", 5))
+    assert len(seen) == len(set(seen))
+    assert len(seen) < sum(len(rec.components) for rec in records)
+
+
+def test_strictly_shod_census_failure_names_the_object(monkeypatch):
+    import silted.census
+
+    monkeypatch.setattr(silted.census, "global_dimension", lambda qwr: 4)
+    with pytest.raises(AssertionError, match=r"\(family d-reversed, n=4, silting object .+\)"):
+        strictly_shod_census(AlgebraSpec("d-reversed", 4))
+
+
 def test_tilted_of_linear_family_embeds_into_reversed_census():
     """Every tilted class of the linear family appears in the reversed census."""
     for n in (4, 5):

@@ -93,12 +93,26 @@ def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     assert "internal invariant failed: presentation audit failed" in capsys.readouterr().err
 
 
+def test_invariant_failure_names_the_silting_object(monkeypatch, capsys):
+    import silted.census
+
+    monkeypatch.setattr(silted.census, "global_dimension", lambda qwr: 4)
+    code = run(["classify", "--family", "d-linear", "--n", "4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "component with global dimension > 3" in err
+    assert "family d-linear" in err and "n=4" in err
+    assert "silting object P(1)[1] + P(2)[1] + P(3)[1] + P(4)[1]" in err
+
+
 # sha256 of `classify --format json` stdout for families the benchmark's
 # digest gate does not run; the same under PYTHONHASHSEED 0 and 1
 GOLDEN_CLASSIFY = {
     ("d-reversed", 6): "c8fc6588efe84778f9199fc0bd30bc0f2fbc8fe76a2e3776764fc9f047223353",
     ("d-reversed", 5): "a79fa79ea9a27b6ba4cad9c9e65a94be69ae5799b38c6a708396b80eb03cd31f",
     ("d-linear", 5): "7b5cb3c49127ad5ef021a8da10d4e92511c5c0e197c8e64d8550b91e0990115e",
+    ("d-linear", 6): "0096987dc89490a590d1be16024dcb6fda9a65e856a06b6f9a05dd307ca3f7f0",
+    ("b", 6): "860d27da54eed371d23e27bf06e933908395b8cd59f491436ef071c2d68ae4d6",
 }
 
 
