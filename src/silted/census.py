@@ -474,13 +474,15 @@ def star_map(n):
 def star_crosscheck(n):
     """Verify the star bijection between the two D-family silting sets."""
     gcat, lcat, star = star_map(n)
+    gspec = AlgebraSpec("d-reversed", n)
     gs = enumerate_two_term_silting(gcat)
     ls = set(enumerate_two_term_silting(lcat))
     images = set()
     for s in gs:
-        t = star(s)
-        if not is_silting(t, lcat):
-            return {"ok": False, "reason": f"image of {s} is not silting"}
+        with _naming_object(gcat, gspec, s):
+            t = star(s)
+            if not is_silting(t, lcat):
+                return {"ok": False, "reason": f"image of {s} is not silting"}
         images.add(t)
     ok = len(images) == len(gs) and images == ls
     return {"ok": ok, "gammaCount": len(gs), "lambdaCount": len(ls), "matched": len(images)}
@@ -523,21 +525,22 @@ def realization_complex(orientation, n):
         s = two_term(mods, [2, n - 1, n])
     else:
         raise ValueError("orientation must be 'linear' or 'reversed'")
-    ep = end_algebra(s, cat)
-    expected = expected_realization_end(n)
-    report = {
-        "orientation": orientation,
-        "n": n,
-        "isSilting": is_silting(s, cat),
-        "isTiltingComplex": is_two_term_tilting(s, cat),
-        "endMatchesExpected": are_isomorphic(ep.qwr, expected),
-        "gradable": is_gradable(ep.qwr.quiver),
-        "relationCount": len(ep.qwr.relations),
-        "relationLengths": sorted(
-            {p.length for r in ep.qwr.relations for _c, p in r.terms}
-        ),
-        "idealNonzero": bool(ep.qwr.relations),
-    }
+    with _naming_object(cat, spec, s):
+        ep = end_algebra(s, cat)
+        expected = expected_realization_end(n)
+        report = {
+            "orientation": orientation,
+            "n": n,
+            "isSilting": is_silting(s, cat),
+            "isTiltingComplex": is_two_term_tilting(s, cat),
+            "endMatchesExpected": are_isomorphic(ep.qwr, expected),
+            "gradable": is_gradable(ep.qwr.quiver),
+            "relationCount": len(ep.qwr.relations),
+            "relationLengths": sorted(
+                {p.length for r in ep.qwr.relations for _c, p in r.terms}
+            ),
+            "idealNonzero": bool(ep.qwr.relations),
+        }
     report["hypothesesVerified"] = (
         report["isSilting"]
         and report["isTiltingComplex"]

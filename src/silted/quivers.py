@@ -7,8 +7,12 @@ endomorphism algebras the census produces.  Paths compose left to right
 
 `projective_cover` is the package's one projective-resolution engine: a
 single cover/kernel step 0 -> K -> P -> M -> 0 over a bound quiver
-algebra.  Global dimension iterates it on simples, and the AR catalog
-builds its minimal presentations from two steps over the hereditary base.
+algebra.  The AR catalog builds its minimal presentations from two steps
+over the hereditary base.  Global dimension of a monomial presentation is
+read off its relation words (Green-Happel-Zacharia: the syzygies of
+cyclic modules pA are sums of cyclic modules qA, found by overlapping
+relation words); any other presentation iterates the cover step on
+simples.
 """
 
 from dataclasses import dataclass
@@ -357,7 +361,15 @@ def is_gentle(qwr):
 
 def connected_components(qwr):
     """Split along underlying undirected connectivity; relations follow
-    the component containing their support."""
+    the component containing their support.
+
+    When the ideal of qwr is already built, each component takes qwr's
+    path lists, path indices and ideal spans for the vertex pairs inside
+    it (shared, not copied) instead of building its own.  That is exact:
+    the paths between two vertices of a component are the same in both
+    quivers and sorted alike, closing the ideal under arrows never leaves
+    a component, and a subspace has one reduced row echelon form.
+    """
     q = qwr.quiver
     parent = {v: v for v in q.vertices}
 
@@ -380,7 +392,12 @@ def connected_components(qwr):
         vset = set(verts)
         arrows = [a for a in q.arrows if a.src in vset]
         rels = [r for r in qwr.relations if r.source in vset]
-        comps.append(QuiverWithRelations(Quiver(verts, arrows), rels))
+        comp = QuiverWithRelations(Quiver(verts, arrows), rels)
+        if qwr._ideal is not None:
+            comp._paths = {k: v for k, v in qwr._paths.items() if k[0] in vset}
+            comp._pathindex = {k: v for k, v in qwr._pathindex.items() if k[0] in vset}
+            comp._ideal = {k: v for k, v in qwr._ideal.items() if k[0] in vset}
+        comps.append(comp)
     return comps
 
 
@@ -591,9 +608,20 @@ def _act_along_path(mod, vec, path):
 
 
 def global_dimension(qwr):
-    """Max over simples of the minimal projective resolution length."""
+    """Max over simples of the minimal projective resolution length.
+
+    A monomial presentation (every relation a single path) reads it off the
+    relation words; any other resolves each simple with projective_cover.
+    """
     if not qwr.quiver.is_acyclic():
         raise ValueError("global_dimension requires an acyclic quiver")
+    if all(rel.is_monomial() for rel in qwr.relations):
+        return _gldim_from_relation_words(qwr)
+    return _gldim_by_resolution(qwr)
+
+
+def _gldim_by_resolution(qwr):
+    """Global dimension from the minimal projective resolution of each simple."""
     alg = BoundAlgebra(qwr)
     best = 0
     cap = len(qwr.quiver.vertices) + 1
@@ -609,6 +637,56 @@ def global_dimension(qwr):
                 raise AssertionError("projective resolution did not terminate")
         best = max(best, pd)
     return best
+
+
+def _gldim_from_relation_words(qwr):
+    """Global dimension of kQ/I for I generated by paths (Green, Happel and
+    Zacharia 1985), with paths read left to right.
+
+    Omega(S_v) is the sum of the alpha A over the arrows alpha leaving v.
+    For a nonzero path p, Omega(pA) is the sum of the qA over the paths q
+    out of t(p) with q not in I and pq in I such that no proper prefix q'
+    of q has pq' in I; pA is projective when there is no such q.  A word
+    lies in I exactly when it contains a relation word as a subword.
+    """
+    q = qwr.quiver
+    words = {rel.terms[0][1].arrows for rel in qwr.relations}
+    longest = max((len(w) for w in words), default=0)
+    cap = len(q.vertices) + 1
+    pds = {}
+
+    def shortest_relation_suffix(word):
+        for k in range(2, min(longest, len(word)) + 1):
+            if word[-k:] in words:
+                return k
+        return 0
+
+    def syzygy(p, v):
+        """The generators q of Omega(pA), as (arrow ids, target) pairs;
+        p is a nonzero path ending at v."""
+        gens = []
+        stack = [((), v)]
+        while stack:
+            qw, u = stack.pop()
+            for a in q.out_arrows[u]:
+                qa = qw + (a.id,)
+                # p + qw is nonzero, so a relation word in p + qa is a suffix
+                k = shortest_relation_suffix(p + qa)
+                if k == 0:
+                    stack.append((qa, a.tgt))
+                elif k > len(qa):
+                    gens.append((qa, a.tgt))
+        return gens
+
+    def pd(p, v):
+        if p not in pds:
+            gens = syzygy(p, v)
+            pds[p] = 1 + max(pd(qw, u) for qw, u in gens) if gens else 0
+            if pds[p] > cap:
+                raise AssertionError("projective resolution did not terminate")
+        return pds[p]
+
+    return max((1 + pd((a.id,), a.tgt) for a in q.arrows), default=0)
 
 
 # ---- effective intersections on a line -----------------------------------

@@ -25,6 +25,7 @@ from silted.cli import run
 from silted.endo import MOD, SHIFT, TwoTermHomCalc, hom_two_term
 from silted.quivers import (
     QuiverWithRelations,
+    _gldim_by_resolution,
     d_linear_quiver,
     d_reversed_quiver,
     effective_intersection_count,
@@ -177,7 +178,10 @@ def test_criterion_6_property_suites():
                 p = p.then(Path(a.src, a.tgt, (a.id,)))
             rels.append(monomial_relation(p))
         qwr = QuiverWithRelations(q, rels)
-        if global_dimension(qwr) != effective_intersection_count(qwr) + 1:
+        # the resolution is the independent oracle: global_dimension reads
+        # monomial presentations off their relation words
+        want = effective_intersection_count(qwr) + 1
+        if _gldim_by_resolution(qwr) != want or global_dimension(qwr) != want:
             ok_eff = False
             break
     details.append(f"effective-intersections(500)={ok_eff}")

@@ -16,7 +16,16 @@ from silted.census import (
     strictly_shod_census,
     tm_lambda_enumerated,
 )
-from silted.quivers import are_isomorphic, is_gradable
+from silted.endo import TwoTermHomCalc, end_algebra
+from silted.quivers import (
+    QuiverWithRelations,
+    _gldim_by_resolution,
+    _gldim_from_relation_words,
+    are_isomorphic,
+    connected_components,
+    is_gradable,
+    qwr_to_json,
+)
 from silted.silting import enumerate_two_term_silting, is_silting
 
 
@@ -134,6 +143,50 @@ def test_gldim_resolved_once_per_presentation(monkeypatch):
     records, _ = classify_family(AlgebraSpec("d-linear", 5))
     assert len(seen) == len(set(seen))
     assert len(seen) < sum(len(rec.components) for rec in records)
+
+
+def census_components(family, n):
+    """Every component of every End of a census, in census order."""
+    cat = get_catalog(AlgebraSpec(family, n))
+    calc = TwoTermHomCalc(cat)
+    for s in enumerate_two_term_silting(cat):
+        yield from connected_components(end_algebra(s, cat, calc).qwr)
+
+
+def test_gldim_from_relation_words_matches_resolution_on_censuses():
+    for family, n in (("d-linear", 5), ("d-reversed", 5), ("b", 6)):
+        distinct = {}
+        for cq in census_components(family, n):
+            if all(rel.is_monomial() for rel in cq.relations):
+                distinct.setdefault(json.dumps(qwr_to_json(cq), sort_keys=True), cq)
+        gldims = [_gldim_from_relation_words(cq) for cq in distinct.values()]
+        assert gldims == [_gldim_by_resolution(cq) for cq in distinct.values()]
+        assert set(gldims) == ({0, 1, 2} if family == "b" else {0, 1, 2, 3})
+
+
+def test_components_inherit_the_end_ideal():
+    for family, n in (("d-linear", 5), ("b", 5)):
+        for cq in census_components(family, n):
+            assert cq._ideal is not None
+            fresh = QuiverWithRelations(cq.quiver, cq.relations)
+            spans = fresh.ideal_spans()
+            assert cq._paths == fresh._paths
+            assert cq._pathindex == fresh._pathindex
+            assert cq.ideal_spans().keys() == spans.keys()
+            for key, span in spans.items():
+                got = cq.ideal_spans()[key]
+                assert (got.ambient, got.rows, got.pivots) == (span.ambient, span.rows, span.pivots)
+
+
+def test_star_crosscheck_failure_names_the_object(monkeypatch):
+    import silted.census
+
+    def broken(s, cat):
+        raise AssertionError("broken silting check")
+
+    monkeypatch.setattr(silted.census, "is_silting", broken)
+    with pytest.raises(AssertionError, match=r"\(family d-reversed, n=4, silting object .+\)"):
+        star_crosscheck(4)
 
 
 def test_strictly_shod_census_failure_names_the_object(monkeypatch):

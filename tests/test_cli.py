@@ -105,6 +105,21 @@ def test_invariant_failure_names_the_silting_object(monkeypatch, capsys):
     assert "silting object P(1)[1] + P(2)[1] + P(3)[1] + P(4)[1]" in err
 
 
+def test_realization_failure_names_the_silting_object(monkeypatch, capsys):
+    import silted.census
+
+    def broken(s, cat, calc=None):
+        raise AssertionError("broken End")
+
+    monkeypatch.setattr(silted.census, "end_algebra", broken)
+    code = run(["realization", "--orientation", "linear", "--n", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "broken End" in err
+    assert "family d-linear" in err and "n=5" in err
+    assert "P(5)[1]" in err
+
+
 # sha256 of `classify --format json` stdout for families the benchmark's
 # digest gate does not run; the same under PYTHONHASHSEED 0 and 1
 GOLDEN_CLASSIFY = {

@@ -5,6 +5,8 @@ import pytest
 
 from silted.quivers import (
     Arrow,
+    _gldim_by_resolution,
+    _gldim_from_relation_words,
     Path,
     Quiver,
     QuiverWithRelations,
@@ -145,6 +147,36 @@ def test_gldim_overlap_line_is_three():
     assert global_dimension(overlap_line()) == 3
 
 
+def test_gldim_from_relation_words_hand_built():
+    line = line_quiver(4)
+    d6 = d_linear_quiver(6)  # 3 -> 1 (1), 3 -> 2 (2), then i+1 -> i (i) down the tail
+    two = Quiver([1, 2, 3, 4, 5], [Arrow(1, 2, 1), Arrow(2, 3, 2), Arrow(3, 5, 4)])
+    cases = [
+        (overlap_line(), 3),
+        (QuiverWithRelations(line, [monomial_relation(path(line, 3, 2, 1))]), 2),
+        # 6 -> 5 -> 4 -> 3 and 5 -> 4 -> 3 -> 1 overlap on 5 -> 4 -> 3
+        (QuiverWithRelations(d6, [monomial_relation(path(d6, 5, 4, 3)), monomial_relation(path(d6, 4, 3, 1))]), 3),
+        # the same chain continued by 4 -> 3 -> 2: the fork arrows stay apart
+        (QuiverWithRelations(d6, [
+            monomial_relation(path(d6, 5, 4, 3)),
+            monomial_relation(path(d6, 4, 3, 1)),
+            monomial_relation(path(d6, 3, 2)),
+        ]), 3),
+        (QuiverWithRelations(two, [monomial_relation(path(two, 2, 1))]), 2),
+        (QuiverWithRelations(two), 1),
+        (QuiverWithRelations(Quiver([1], [])), 0),
+    ]
+    for qwr, want in cases:
+        assert _gldim_from_relation_words(qwr) == want
+        assert _gldim_by_resolution(qwr) == want
+        assert global_dimension(qwr) == want
+
+
+def test_gldim_commutativity_square_resolves():
+    assert global_dimension(square_qwr()) == 2
+    assert _gldim_by_resolution(square_qwr()) == 2
+
+
 # ---- effective intersections ----------------------------------------------
 
 
@@ -204,7 +236,9 @@ def test_effective_intersections_random_against_resolutions():
         if not intervals:
             continue
         qwr = interval_qwr(arrows, intervals)
-        assert global_dimension(qwr) == effective_intersection_count(qwr) + 1
+        want = effective_intersection_count(qwr) + 1
+        assert _gldim_by_resolution(qwr) == want
+        assert global_dimension(qwr) == want
 
 
 def test_effective_intersections_rejects_bad_input():
@@ -273,6 +307,20 @@ def test_connected_components():
     assert len(comps) == 2
     assert sum(len(c.quiver.vertices) for c in comps) == 3
     assert sum(len(c.quiver.arrows) for c in comps) == 1
+
+
+def test_components_share_a_built_ideal():
+    q = Quiver([1, 2, 3, 4, 5], [Arrow(1, 2, 1), Arrow(2, 3, 2), Arrow(3, 5, 4)])
+    qwr = QuiverWithRelations(q, [monomial_relation(path(q, 2, 1))])
+    lazy = connected_components(qwr)
+    assert all(c._ideal is None for c in lazy)
+    assert [c.algebra_dimension() for c in lazy] == [5, 3]
+    qwr.ideal_spans()
+    built = connected_components(qwr)
+    assert [c.algebra_dimension() for c in built] == [5, 3]
+    assert built[0].ideal_spans()[(3, 1)] is qwr.ideal_spans()[(3, 1)]
+    assert built[0].paths(3, 1) is qwr.paths(3, 1)
+    assert built[1].paths(5, 4) == [path(q, 3)]
 
 
 def test_components_carry_relations():
