@@ -33,7 +33,7 @@ from .silting import (
     is_two_term_tilting,
     two_term,
 )
-from .endo import EndPresentation, TwoTermHomCalc, end_algebra, hom_two_term
+from .endo import EndPresentation, TwoTermHomCalc, end_algebra
 from .census import (
     AlgebraSpec,
     CensusSummary,

@@ -92,7 +92,7 @@ def get_catalog(spec):
 # ---- per-record classification --------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentInfo:
     qwr: QuiverWithRelations
     gldim: int
@@ -222,32 +222,32 @@ def _naming_object(cat, spec, s):
         ) from exc
 
 
-def _component_gldims(ep, gldims):
-    """The components of End with their global dimensions, as pairs.
+def _classify_components(ep, memo):
+    """The components of End, each as a ComponentInfo.
 
-    gldims maps an exact component presentation to its global dimension;
-    one census run shares it, so a presentation is resolved once.
+    memo maps an exact component presentation to its ComponentInfo; one
+    census run shares it, so each presentation is classified once.
     """
     out = []
     for cq in connected_components(ep.qwr):
         q = cq.quiver
         key = (q.vertices, tuple((a.id, a.src, a.tgt) for a in q.arrows), cq.relations)
-        g = gldims.get(key)
-        if g is None:
-            g = gldims[key] = global_dimension(cq)
-        if g > 3:
-            raise AssertionError("component with global dimension > 3 in a silted census")
-        out.append((cq, g))
+        info = memo.get(key)
+        if info is None:
+            g = global_dimension(cq)
+            if g > 3:
+                raise AssertionError("component with global dimension > 3 in a silted census")
+            info = memo[key] = ComponentInfo(
+                cq, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq)
+            )
+        out.append(info)
     return out
 
 
-def classify_record(cat, calc, s, spec, gldims):
+def classify_record(cat, calc, s, spec, memo):
     with _naming_object(cat, spec, s):
         ep = end_algebra(s, cat, calc)
-        comps = [
-            ComponentInfo(cq, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq))
-            for cq, g in _component_gldims(ep, gldims)
-        ]
+        comps = _classify_components(ep, memo)
         gd = max((c.gldim for c in comps), default=0)
         if spec.family == "d-linear":
             label = lambda_family_label(cat, s)
@@ -296,8 +296,8 @@ def classify_family(spec, n_cap=9):
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
     silts = enumerate_two_term_silting(cat)
-    gldims = {}
-    records = [classify_record(cat, calc, s, spec, gldims) for s in silts]
+    memo = {}
+    records = [classify_record(cat, calc, s, spec, memo) for s in silts]
     dedup = _Dedup()
     for rec in records:
         rec.iso_class, _ = dedup.locate(rec.end.qwr)
@@ -367,16 +367,16 @@ def strictly_shod_census(spec, shape_check=None):
         shape_check = spec.family == "d-linear"
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
-    gldims = {}
+    memo = {}
     flagged = []
     for s in enumerate_two_term_silting(cat):
         with _naming_object(cat, spec, s):
             ep = end_algebra(s, cat, calc)
-            comps = _component_gldims(ep, gldims)
-            if max(g for _cq, g in comps) != 3:
+            comps = _classify_components(ep, memo)
+            if max(c.gldim for c in comps) != 3:
                 continue
-            for cq, g in comps:
-                if g == 3 and not is_string_algebra(cq):
+            for c in comps:
+                if c.gldim == 3 and not c.is_string:
                     raise AssertionError("strictly shod component is not a string algebra")
             if shape_check:
                 if lambda_family_label(cat, s) != "B7":

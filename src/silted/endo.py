@@ -95,12 +95,10 @@ class TwoTermHomCalc:
         P = self.cat.indecs[self.cat.proj(v)]
         total = pres.hom_p1_dim(P)
         sub = Subspace(total)
+        # Ext^1 out of a projective vanishes (P1 = 0 there anyway)
         if not self.cat.is_projective(x):
             for col in pres.restriction_columns(P):
                 sub.add(col)
-        else:
-            # Ext^1 out of a projective vanishes (P1 = 0 there anyway)
-            pass
         out = (total - sub.dim, sub, pres)
         self._ext_cache[key] = out
         return out
@@ -253,11 +251,6 @@ class EndPresentation:
         doc["vertexSummands"] = {str(v): self.provenance[v] for v in self.qwr.quiver.vertices}
         doc["totalDim"] = self.total_dim
         return doc
-
-
-def hom_two_term(calc, src, tgt):
-    """Hom space between two summand descriptors ('m', id) / ('s', vertex)."""
-    return calc.space(src, tgt)
 
 
 def end_algebra(silt, cat, calc=None):

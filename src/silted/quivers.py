@@ -8,10 +8,14 @@ endomorphism algebras the census produces.  Paths compose left to right
 `projective_cover` is the package's one projective-resolution engine: a
 single cover/kernel step 0 -> K -> P -> M -> 0 over a bound quiver
 algebra.  The AR catalog builds its minimal presentations from two steps
-over the hereditary base.  Global dimension of a monomial presentation is
-read off its relation words (Green-Happel-Zacharia: the syzygies of
-cyclic modules pA are sums of cyclic modules qA, found by overlapping
-relation words); any other presentation iterates the cover step on
+over the hereditary base.
+
+`_ideal_words` decides once per presentation whether the ideal is
+monomial and which paths generate it.  Global dimension, string and
+gentle all read those words: a monomial ideal's global dimension comes
+from overlapping them (Green-Happel-Zacharia), and the string (S1)-(S3)
+and gentle conditions are conditions on the length-2 words
+(Butler-Ringel).  Otherwise global dimension iterates the cover step on
 simples.
 """
 
@@ -144,6 +148,9 @@ def monomial_relation(path):
     return Relation(((F1, path),))
 
 
+_UNSET = object()
+
+
 class QuiverWithRelations:
     """A quiver plus admissible relations; the bound algebra is kQ/I.
 
@@ -156,6 +163,7 @@ class QuiverWithRelations:
         self.relations = tuple(relations)
         self._paths = None
         self._ideal = None
+        self._words = _UNSET
         self._pathindex = None
 
     # ---- path space bookkeeping -------------------------------------
@@ -279,84 +287,87 @@ def paths_between(qwr, u, v):
     return [plist[j] for j in span.complement_indices()]
 
 
-def _monomial_paths_in_ideal(qwr, u, v):
-    plist = qwr.paths(u, v)
-    span = qwr.ideal_spans().get((u, v))
-    if span is None:
-        return []
-    out = []
-    for i, p in enumerate(plist):
-        vec = [F0] * len(plist)
-        vec[i] = F1
-        if span.contains(vec):
-            out.append(p)
-    return out
+def _ideal_words(qwr):
+    """The minimal generating paths of I, as a frozenset of arrow-id
+    tuples, when I is monomial; None when it is not.  Cached on qwr.
+
+    A presentation whose relations are all single paths is read off its
+    relation words; any other off its ideal spans.
+    """
+    if qwr._words is _UNSET:
+        if all(rel.is_monomial() for rel in qwr.relations):
+            qwr._words = _relation_words(qwr)
+        else:
+            qwr._words = _span_words(qwr)
+    return qwr._words
 
 
-def _ideal_is_monomial(qwr):
-    for u in qwr.quiver.vertices:
-        for v in qwr.quiver.vertices:
-            span = qwr.ideal_spans().get((u, v))
-            if span is None or span.dim == 0:
-                continue
-            if len(_monomial_paths_in_ideal(qwr, u, v)) != span.dim:
-                return False
-    return True
+def _relation_words(qwr):
+    """The relation words that contain no other relation word; exact when
+    every relation is a single path, since they then generate I."""
+    words = {rel.terms[0][1].arrows for rel in qwr.relations}
+    return frozenset(
+        w for w in words
+        if not any(
+            w[i:j] in words
+            for i in range(len(w))
+            for j in range(i + 2, len(w) + 1)
+            if j - i < len(w)
+        )
+    )
 
 
-def _path_in_ideal(qwr, path):
-    idx = qwr.path_index(path.source, path.target)
-    vec = [F0] * len(qwr.paths(path.source, path.target))
-    vec[idx[path]] = F1
-    return qwr.ideal_spans()[(path.source, path.target)].contains(vec)
+def _span_words(qwr):
+    """The minimal generating paths of I read off the ideal spans, or None.
+
+    I is monomial exactly when each span, kept in reduced row echelon form,
+    has only unit-vector rows; the paths in I are then those at the pivots,
+    and the minimal ones are those whose two longest proper subpaths lie
+    outside I.
+    """
+    in_ideal = set()
+    for (u, v), span in qwr.ideal_spans().items():
+        plist = qwr.paths(u, v)
+        for row, piv in zip(span.rows, span.pivots):
+            if any(x != 0 for j, x in enumerate(row) if j != piv):
+                return None
+            in_ideal.add(plist[piv].arrows)
+    return frozenset(w for w in in_ideal if w[1:] not in in_ideal and w[:-1] not in in_ideal)
 
 
 def is_string_algebra(qwr):
-    """Conditions (S1)-(S3): at most two arrows in/out per vertex, unique
-    continuations outside the ideal, and a monomial ideal."""
+    """Conditions (S1)-(S3): at most two arrows in/out per vertex, a monomial
+    ideal, and at most one continuation outside the ideal on each side of
+    an arrow.  A length-2 path lies in a monomial ideal exactly when it is
+    a minimal generator."""
     q = qwr.quiver
     for v in q.vertices:
         if len(q.out_arrows[v]) > 2 or len(q.in_arrows[v]) > 2:
             return False
-    if not _ideal_is_monomial(qwr):
+    words = _ideal_words(qwr)
+    if words is None:
         return False
     for a in q.arrows:
-        cont = [b for b in q.out_arrows[a.tgt] if not _path_in_ideal(qwr, arrow_path(a).then(arrow_path(b)))]
-        if len(cont) > 1:
+        if sum((a.id, b.id) not in words for b in q.out_arrows[a.tgt]) > 1:
             return False
-        pre = [c for c in q.in_arrows[a.src] if not _path_in_ideal(qwr, arrow_path(c).then(arrow_path(a)))]
-        if len(pre) > 1:
+        if sum((c.id, a.id) not in words for c in q.in_arrows[a.src]) > 1:
             return False
     return True
 
 
 def is_gentle(qwr):
-    """String algebra whose ideal is generated by length-2 paths, with at
-    most one killed continuation per arrow on each side (S2'),(S3')."""
+    """String algebra with at most one killed continuation per arrow on each
+    side (S2') whose ideal is generated by paths of length 2 (S3')."""
     if not is_string_algebra(qwr):
         return False
     q = qwr.quiver
+    words = _ideal_words(qwr)
     for a in q.arrows:
-        killed_after = [b for b in q.out_arrows[a.tgt] if _path_in_ideal(qwr, arrow_path(a).then(arrow_path(b)))]
-        if len(killed_after) > 1:
+        if sum((a.id, b.id) in words for b in q.out_arrows[a.tgt]) > 1:
             return False
-        killed_before = [c for c in q.in_arrows[a.src] if _path_in_ideal(qwr, arrow_path(c).then(arrow_path(a)))]
-        if len(killed_before) > 1:
+        if sum((c.id, a.id) in words for c in q.in_arrows[a.src]) > 1:
             return False
-    # (S3'): length-2 members must generate the whole ideal
-    quad = []
-    for u in q.vertices:
-        for v in q.vertices:
-            for p in _monomial_paths_in_ideal(qwr, u, v):
-                if p.length == 2:
-                    quad.append(monomial_relation(p))
-    regen = QuiverWithRelations(q, quad)
-    spans = qwr.ideal_spans()
-    respans = regen.ideal_spans()
-    for key, span in spans.items():
-        if span.dim != respans[key].dim:
-            return False
-    return True
+    return all(len(w) == 2 for w in words)
 
 
 def connected_components(qwr):
@@ -610,13 +621,14 @@ def _act_along_path(mod, vec, path):
 def global_dimension(qwr):
     """Max over simples of the minimal projective resolution length.
 
-    A monomial presentation (every relation a single path) reads it off the
-    relation words; any other resolves each simple with projective_cover.
+    A monomial ideal reads it off its minimal generating words; any other
+    resolves each simple with projective_cover.
     """
     if not qwr.quiver.is_acyclic():
         raise ValueError("global_dimension requires an acyclic quiver")
-    if all(rel.is_monomial() for rel in qwr.relations):
-        return _gldim_from_relation_words(qwr)
+    words = _ideal_words(qwr)
+    if words is not None:
+        return _gldim_from_words(qwr.quiver, words)
     return _gldim_by_resolution(qwr)
 
 
@@ -639,18 +651,17 @@ def _gldim_by_resolution(qwr):
     return best
 
 
-def _gldim_from_relation_words(qwr):
-    """Global dimension of kQ/I for I generated by paths (Green, Happel and
-    Zacharia 1985), with paths read left to right.
+def _gldim_from_words(q, words):
+    """Global dimension of kQ/I for I generated by the paths `words`, as
+    arrow-id tuples (Green, Happel and Zacharia 1985), with paths read left
+    to right.
 
     Omega(S_v) is the sum of the alpha A over the arrows alpha leaving v.
     For a nonzero path p, Omega(pA) is the sum of the qA over the paths q
     out of t(p) with q not in I and pq in I such that no proper prefix q'
     of q has pq' in I; pA is projective when there is no such q.  A word
-    lies in I exactly when it contains a relation word as a subword.
+    lies in I exactly when it contains a word of `words` as a subword.
     """
-    q = qwr.quiver
-    words = {rel.terms[0][1].arrows for rel in qwr.relations}
     longest = max((len(w) for w in words), default=0)
     cap = len(q.vertices) + 1
     pds = {}
@@ -670,7 +681,7 @@ def _gldim_from_relation_words(qwr):
             qw, u = stack.pop()
             for a in q.out_arrows[u]:
                 qa = qw + (a.id,)
-                # p + qw is nonzero, so a relation word in p + qa is a suffix
+                # p + qw is nonzero, so a word of `words` in p + qa is a suffix
                 k = shortest_relation_suffix(p + qa)
                 if k == 0:
                     stack.append((qa, a.tgt))
@@ -721,20 +732,12 @@ def effective_intersection_count(qwr):
     order = _line_vertex_order(qwr.quiver)
     if order is None:
         raise ValueError("effective_intersection_count needs a linearly oriented line")
+    if not all(rel.is_monomial() for rel in qwr.relations):
+        raise ValueError("effective_intersection_count needs monomial relations")
     pos = {v: k for k, v in enumerate(order)}
-    intervals = []
-    for rel in qwr.relations:
-        if not rel.is_monomial():
-            raise ValueError("effective_intersection_count needs monomial relations")
-        p = rel.terms[0][1]
-        intervals.append((pos[p.source], pos[p.target]))
-    # drop intervals containing another (non-minimal generators)
-    intervals = sorted(set(intervals))
-    minimal = []
-    for (i, j) in intervals:
-        if not any((r, s) != (i, j) and i <= r and s <= j for (r, s) in intervals):
-            minimal.append((i, j))
-    minimal.sort()
+    arrow = qwr.quiver.arrow_by_id
+    # on a line a word is its interval, and a subword a subinterval
+    minimal = sorted((pos[arrow[w[0]].src], pos[arrow[w[-1]].tgt]) for w in _ideal_words(qwr))
     if not minimal:
         return 0
 

@@ -22,7 +22,6 @@ from silted.census import (
     strictly_shod_census,
 )
 from silted.cli import run
-from silted.endo import MOD, SHIFT, TwoTermHomCalc, hom_two_term
 from silted.quivers import (
     QuiverWithRelations,
     _gldim_by_resolution,

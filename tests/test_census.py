@@ -20,7 +20,10 @@ from silted.endo import TwoTermHomCalc, end_algebra
 from silted.quivers import (
     QuiverWithRelations,
     _gldim_by_resolution,
-    _gldim_from_relation_words,
+    _gldim_from_words,
+    _ideal_words,
+    _relation_words,
+    _span_words,
     are_isomorphic,
     connected_components,
     is_gradable,
@@ -131,18 +134,24 @@ def test_strictly_shod_census_gamma():
 
 def test_gldim_resolved_once_per_presentation(monkeypatch):
     import silted.census
-    from silted.quivers import global_dimension, qwr_to_json
 
-    seen = []
+    seen = {}
+    for name in ("global_dimension", "is_string_algebra", "is_gentle"):
+        calls = seen[name] = []
 
-    def counting(qwr):
-        seen.append(json.dumps(qwr_to_json(qwr), sort_keys=True))
-        return global_dimension(qwr)
+        def counting(qwr, calls=calls, fn=getattr(silted.census, name)):
+            calls.append(json.dumps(qwr_to_json(qwr), sort_keys=True))
+            return fn(qwr)
 
-    monkeypatch.setattr(silted.census, "global_dimension", counting)
+        monkeypatch.setattr(silted.census, name, counting)
     records, _ = classify_family(AlgebraSpec("d-linear", 5))
-    assert len(seen) == len(set(seen))
-    assert len(seen) < sum(len(rec.components) for rec in records)
+    distinct = {
+        json.dumps(qwr_to_json(c.qwr), sort_keys=True) for rec in records for c in rec.components
+    }
+    for calls in seen.values():
+        assert len(calls) == len(set(calls))
+        assert set(calls) == distinct
+    assert len(distinct) < sum(len(rec.components) for rec in records)
 
 
 def census_components(family, n):
@@ -159,9 +168,26 @@ def test_gldim_from_relation_words_matches_resolution_on_censuses():
         for cq in census_components(family, n):
             if all(rel.is_monomial() for rel in cq.relations):
                 distinct.setdefault(json.dumps(qwr_to_json(cq), sort_keys=True), cq)
-        gldims = [_gldim_from_relation_words(cq) for cq in distinct.values()]
+        gldims = [_gldim_from_words(cq.quiver, _ideal_words(cq)) for cq in distinct.values()]
         assert gldims == [_gldim_by_resolution(cq) for cq in distinct.values()]
         assert set(gldims) == ({0, 1, 2} if family == "b" else {0, 1, 2, 3})
+
+
+def test_relation_words_match_the_ideal_spans_on_censuses():
+    for family, n in (("d-linear", 5), ("d-reversed", 5), ("b", 6)):
+        distinct = {}
+        for cq in census_components(family, n):
+            distinct.setdefault(json.dumps(qwr_to_json(cq), sort_keys=True), cq)
+        monomial = non_monomial = 0
+        for cq in distinct.values():
+            if all(rel.is_monomial() for rel in cq.relations):
+                assert _relation_words(cq) == _span_words(cq)
+                monomial += 1
+            else:
+                assert _span_words(cq) is None
+                non_monomial += 1
+        assert monomial > 0
+        assert (non_monomial > 0) == (family != "b")
 
 
 def test_components_inherit_the_end_ideal():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from silted.arcatalog import knit_catalog
-from silted.endo import MOD, SHIFT, TwoTermHomCalc, end_algebra, hom_two_term
+from silted.endo import MOD, SHIFT, TwoTermHomCalc, end_algebra
 from silted.quivers import (
     QuiverWithRelations,
     are_isomorphic,
@@ -30,7 +30,7 @@ def test_shift_to_module_is_zero():
     cat, calc = calc_for(d_linear_quiver(4))
     for v in cat.q.vertices:
         for m in range(len(cat)):
-            assert hom_two_term(calc, (SHIFT, v), (MOD, m)).dim == 0
+            assert calc.space((SHIFT, v), (MOD, m)).dim == 0
 
 
 def test_module_to_shift_matches_ar_duality():
@@ -38,7 +38,7 @@ def test_module_to_shift_matches_ar_duality():
     cat, calc = calc_for(d_linear_quiver(4))
     for m in range(len(cat)):
         for v in cat.q.vertices:
-            sp = hom_two_term(calc, (MOD, m), (SHIFT, v))
+            sp = calc.space((MOD, m), (SHIFT, v))
             if cat.is_projective(m):
                 assert sp.dim == 0
             else:
@@ -49,7 +49,7 @@ def test_shift_to_shift_is_projective_hom():
     cat, calc = calc_for(d_linear_quiver(4))
     for v in cat.q.vertices:
         for w in cat.q.vertices:
-            sp = hom_two_term(calc, (SHIFT, v), (SHIFT, w))
+            sp = calc.space((SHIFT, v), (SHIFT, w))
             assert sp.dim == cat.hom_dim(cat.proj(v), cat.proj(w))
 
 
@@ -58,7 +58,7 @@ def test_hom_injective_to_shifted_projective_lambda():
     for n in (5, 6):
         cat, calc = calc_for(d_linear_quiver(n))
         for i in range(4, n + 1):
-            sp = hom_two_term(calc, (MOD, cat.inj(i - 1)), (SHIFT, i))
+            sp = calc.space((MOD, cat.inj(i - 1)), (SHIFT, i))
             assert sp.dim >= 1
 
 

@@ -6,7 +6,8 @@ import pytest
 from silted.quivers import (
     Arrow,
     _gldim_by_resolution,
-    _gldim_from_relation_words,
+    _gldim_from_words,
+    _ideal_words,
     Path,
     Quiver,
     QuiverWithRelations,
@@ -108,6 +109,35 @@ def test_gentle():
     cubic = monomial_relation(path(q, 3, 2, 1))
     assert is_string_algebra(QuiverWithRelations(q, [cubic]))
     assert not is_gentle(QuiverWithRelations(q, [cubic]))
+    # arrow 1 has two killed continuations
+    fork = Quiver([1, 2, 3, 4], [Arrow(1, 1, 2), Arrow(2, 2, 3), Arrow(3, 2, 4)])
+    killed = QuiverWithRelations(fork, [monomial_relation(path(fork, 1, 2)), monomial_relation(path(fork, 1, 3))])
+    assert is_string_algebra(killed)
+    assert not is_gentle(killed)
+
+
+def test_non_minimal_relations_read_as_their_minimal_words():
+    q = line_quiver(4)
+    minimal = QuiverWithRelations(q, [monomial_relation(path(q, 3, 2))])
+    padded = QuiverWithRelations(q, [monomial_relation(path(q, 3, 2)), monomial_relation(path(q, 3, 2, 1))])
+    for qwr in (minimal, padded):
+        assert _ideal_words(qwr) == {(3, 2)}
+        assert is_string_algebra(qwr)
+        assert is_gentle(qwr)
+        assert global_dimension(qwr) == _gldim_by_resolution(qwr) == 2
+
+
+def test_monomial_ideal_from_a_non_monomial_presentation():
+    """[p - q, q] on the commutative square kills p and q, as [p, q] does."""
+    sq = square_qwr()
+    p1, p2 = (term[1] for term in sq.relations[0].terms)
+    mixed = QuiverWithRelations(sq.quiver, [sq.relations[0], monomial_relation(p2)])
+    zero = QuiverWithRelations(sq.quiver, [monomial_relation(p1), monomial_relation(p2)])
+    assert _ideal_words(mixed) == _ideal_words(zero) == {(1, 3), (2, 4)}
+    for qwr in (mixed, zero):
+        assert is_string_algebra(qwr)
+        assert is_gentle(qwr)
+        assert global_dimension(qwr) == _gldim_by_resolution(qwr) == 2
 
 
 def test_gentle_implies_string_sampled():
@@ -167,7 +197,7 @@ def test_gldim_from_relation_words_hand_built():
         (QuiverWithRelations(Quiver([1], [])), 0),
     ]
     for qwr, want in cases:
-        assert _gldim_from_relation_words(qwr) == want
+        assert _gldim_from_words(qwr.quiver, _ideal_words(qwr)) == want
         assert _gldim_by_resolution(qwr) == want
         assert global_dimension(qwr) == want
 
