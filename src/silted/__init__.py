@@ -25,7 +25,6 @@ from .arcatalog import ARCatalog, DynkinTypeError, TauUndefinedError, knit_catal
 from .silting import (
     TwoTermObject,
     CompatibilityGraph,
-    count_tm_lambda,
     enumerate_tilting_modules,
     enumerate_two_term_silting,
     is_presilting,

@@ -7,9 +7,11 @@ classified by global dimension:
 
     0 semisimple-point, 1 hereditary-tilted, 2 tilted, 3 strictly-shod.
 
-Records are deduplicated by isomorphism of presentations (up to arrow
-rescaling); the summary carries the class counts a_s / a_t / a_ss that
-the reference tables pin down.
+Each distinct component presentation is matched once, up to isomorphism
+with arrow rescaling, against the earlier component classes; a record's
+isomorphism class is the multiset of its components' classes.  The
+summary carries the class counts a_s / a_t / a_ss that the reference
+tables pin down.
 """
 
 from contextlib import contextmanager
@@ -99,6 +101,7 @@ class ComponentInfo:
     label: str
     is_string: bool
     is_gentle: bool
+    iso_class: int
 
 
 @dataclass
@@ -209,6 +212,19 @@ def gamma_case_label(cat, s):
     return "case-III"
 
 
+def _staggered_overlap(qwr):
+    """Two monomial relations whose arrow words overlap with a proper stagger."""
+    mono = [r.terms[0][1].arrows for r in qwr.relations if r.is_monomial()]
+    for i, p in enumerate(mono):
+        for q in mono:
+            if p == q:
+                continue
+            for t in range(1, len(p)):
+                if p[t:] == q[: len(p) - t]:
+                    return True
+    return False
+
+
 @contextmanager
 def _naming_object(cat, spec, s):
     """Re-raise an AssertionError with the family, rank and silting object."""
@@ -222,36 +238,67 @@ def _naming_object(cat, spec, s):
         ) from exc
 
 
-def _classify_components(ep, memo):
-    """The components of End, each as a ComponentInfo.
+class _ComponentMemo:
+    """The ComponentInfo of each exact component presentation of one run.
 
-    memo maps an exact component presentation to its ComponentInfo; one
-    census run shares it, so each presentation is classified once.
+    A presentation seen for the first time is classified once and matched
+    against the class representatives in its iso_fingerprint bucket; it
+    joins the first isomorphic one or starts a new component class.
     """
-    out = []
-    for cq in connected_components(ep.qwr):
-        q = cq.quiver
-        key = (q.vertices, tuple((a.id, a.src, a.tgt) for a in q.arrows), cq.relations)
-        info = memo.get(key)
-        if info is None:
-            g = global_dimension(cq)
-            if g > 3:
-                raise AssertionError("component with global dimension > 3 in a silted census")
-            info = memo[key] = ComponentInfo(
-                cq, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq)
-            )
-        out.append(info)
-    return out
+
+    def __init__(self):
+        self.infos = {}
+        self.buckets = {}
+        self.n_classes = 0
+
+    def classify(self, qwr):
+        """The components of qwr, each as a ComponentInfo."""
+        out = []
+        for cq in connected_components(qwr):
+            q = cq.quiver
+            key = (q.vertices, tuple((a.id, a.src, a.tgt) for a in q.arrows), cq.relations)
+            info = self.infos.get(key)
+            if info is None:
+                info = self.infos[key] = self._new_info(cq)
+            out.append(info)
+        return out
+
+    def _new_info(self, cq):
+        g = global_dimension(cq)
+        if g > 3:
+            raise AssertionError("component with global dimension > 3 in a silted census")
+        bucket = self.buckets.setdefault(iso_fingerprint(cq), [])
+        rep = next((r for r in bucket if are_isomorphic(cq, r.qwr)), None)
+        if rep is not None and rep.gldim != g:
+            raise AssertionError("isomorphic components disagree on gldim")
+        cls = self.n_classes if rep is None else rep.iso_class
+        info = ComponentInfo(
+            cq, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq), cls
+        )
+        if rep is None:
+            self.n_classes += 1
+            bucket.append(info)
+        return info
+
+
+def _iso_key(comps):
+    """An algebra's isomorphism class: the multiset of its blocks' classes,
+    since the block decomposition is unique."""
+    return tuple(sorted(c.iso_class for c in comps))
 
 
 def classify_record(cat, calc, s, spec, memo):
     with _naming_object(cat, spec, s):
         ep = end_algebra(s, cat, calc)
-        comps = _classify_components(ep, memo)
+        comps = memo.classify(ep.qwr)
         gd = max((c.gldim for c in comps), default=0)
+        if spec.family in ("d-linear", "d-reversed") and any(
+            c.gldim == 3 and not c.is_string for c in comps
+        ):
+            raise AssertionError("strictly shod component is not a string algebra")
         if spec.family == "d-linear":
             label = lambda_family_label(cat, s)
-            if gd == 3 and label != "B7":
+            if gd == 3 and (label != "B7" or not _staggered_overlap(ep.qwr)):
                 raise AssertionError("strictly shod record outside the B7 shape")
         elif spec.family == "d-reversed":
             label = "C14" if gd == 3 else gamma_case_label(cat, s)
@@ -271,24 +318,6 @@ def classify_record(cat, calc, s, spec, memo):
     )
 
 
-class _Dedup:
-    """Isomorphism classes of presentations, bucketed by fingerprint."""
-
-    def __init__(self):
-        self.buckets = {}
-        self.reps = []
-
-    def locate(self, qwr):
-        fp = iso_fingerprint(qwr)
-        for idx in self.buckets.get(fp, []):
-            if are_isomorphic(qwr, self.reps[idx]):
-                return idx, False
-        idx = len(self.reps)
-        self.reps.append(qwr)
-        self.buckets.setdefault(fp, []).append(idx)
-        return idx, True
-
-
 def classify_family(spec, n_cap=9):
     """Full census: classification records plus aggregate summary."""
     if spec.n > n_cap:
@@ -296,20 +325,15 @@ def classify_family(spec, n_cap=9):
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
     silts = enumerate_two_term_silting(cat)
-    memo = {}
+    memo = _ComponentMemo()
     records = [classify_record(cat, calc, s, spec, memo) for s in silts]
-    dedup = _Dedup()
-    for rec in records:
-        rec.iso_class, _ = dedup.locate(rec.end.qwr)
-    n_classes = len(dedup.reps)
+    classes = {}
     class_records = {}
     for rec in records:
+        rec.iso_class = classes.setdefault(_iso_key(rec.components), len(classes))
         class_records.setdefault(rec.iso_class, []).append(rec)
     tilt_classes = {rec.iso_class for rec in records if rec.is_tilting_module}
     ss_classes = {c for c, recs in class_records.items() if recs[0].gldim == 3}
-    for c, recs in class_records.items():
-        if len({r.gldim for r in recs}) != 1:
-            raise AssertionError("records in one isomorphism class disagree on gldim")
     ht_classes = {
         rec.iso_class
         for rec in records
@@ -328,7 +352,7 @@ def classify_family(spec, n_cap=9):
         n=spec.n,
         n_silting=len(silts),
         n_tilting=sum(1 for r in records if r.is_tilting_module),
-        a_s=n_classes,
+        a_s=len(classes),
         a_t=len(tilt_classes),
         a_ss=len(ss_classes),
         a_ht=len(ht_classes),
@@ -339,57 +363,30 @@ def classify_family(spec, n_cap=9):
     return records, summary
 
 
-def _staggered_overlap(qwr):
-    """Two monomial relations whose arrow words overlap with a proper stagger."""
-    mono = [r.terms[0][1].arrows for r in qwr.relations if r.is_monomial()]
-    for i, p in enumerate(mono):
-        for q in mono:
-            if p == q:
-                continue
-            for t in range(1, len(p)):
-                if p[t:] == q[: len(p) - t]:
-                    return True
-    return False
+def strictly_shod_census(spec):
+    """Records whose End has a gldim-3 component, with their classes.
 
-
-def strictly_shod_census(spec, shape_check=None):
-    """Records whose End has a gldim-3 component, deduplicated.
-
-    For the linear D family every flagged record is checked against the
-    construction shape (one shifted fork vertex, the other fork projective
-    present, both wings occupied, an overlapping pair of zero relations)
-    and the string property; for the reversed family the shape check is
-    reported, not asserted.
+    Returns the (silting object, End, class index) triples and the class
+    count; classes are numbered by first occurrence among these records.
+    classify_record asserts on every record that each gldim-3 component
+    is a string algebra and, for the linear family, that the record has
+    the construction shape (one shifted fork vertex, the other fork
+    projective present, both wings occupied, an overlapping pair of zero
+    relations).
     """
     if spec.family not in ("d-linear", "d-reversed"):
         raise ValueError("strictly shod census applies to the D families")
-    if shape_check is None:
-        shape_check = spec.family == "d-linear"
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
-    memo = {}
+    memo = _ComponentMemo()
+    classes = {}
     flagged = []
     for s in enumerate_two_term_silting(cat):
-        with _naming_object(cat, spec, s):
-            ep = end_algebra(s, cat, calc)
-            comps = _classify_components(ep, memo)
-            if max(c.gldim for c in comps) != 3:
-                continue
-            for c in comps:
-                if c.gldim == 3 and not c.is_string:
-                    raise AssertionError("strictly shod component is not a string algebra")
-            if shape_check:
-                if lambda_family_label(cat, s) != "B7":
-                    raise AssertionError("strictly shod record outside the expected shape")
-                if not _staggered_overlap(ep.qwr):
-                    raise AssertionError("strictly shod record lacks overlapping zero relations")
-        flagged.append((s, ep))
-    dedup = _Dedup()
-    out = []
-    for s, ep in flagged:
-        idx, new = dedup.locate(ep.qwr)
-        out.append((s, ep, idx))
-    return out, len(dedup.reps)
+        rec = classify_record(cat, calc, s, spec, memo)
+        if rec.gldim == 3:
+            cls = classes.setdefault(_iso_key(rec.components), len(classes))
+            flagged.append((s, rec.end, cls))
+    return flagged, len(classes)
 
 
 # ---- survival counts up to the fork symmetry -------------------------------

@@ -309,27 +309,3 @@ def a_s_gamma(n):
     if n == 5:
         total -= c_part(n, 12)  # the c_12 family sits inside c_9 at n = 5
     return total
-
-
-# ---- symmetric products ----------------------------------------------------
-
-
-def sym_product_size(x_size, y_size=None, relation="disjoint"):
-    """Cardinality of the unordered-pair set X x_s Y.
-
-    relation: 'disjoint' (or y_size omitted with relation='self' for
-    X x_s X), 'self', or 'subset' (x_size = |X'| <= y_size = |X|).
-    """
-    if x_size < 0 or (y_size is not None and y_size < 0):
-        raise ValueError("sizes must be nonnegative")
-    if relation == "self":
-        return x_size * (x_size + 1) // 2
-    if y_size is None:
-        raise ValueError("y_size required unless relation='self'")
-    if relation == "disjoint":
-        return x_size * y_size
-    if relation == "subset":
-        if x_size > y_size:
-            raise ValueError("subset size exceeds superset size")
-        return x_size * y_size - x_size * (x_size - 1) // 2
-    raise ValueError(f"unknown relation {relation!r}")

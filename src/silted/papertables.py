@@ -53,9 +53,9 @@ REFERENCE = {
 # enumeration vs closed form divergences that are understood and accepted
 DOCUMENTED_EXCEPTIONS = {
     ("tm_lambda_enum", (6, 1)): (
-        "module-level count up to the fork symmetry is 84; the closed form "
-        "additionally identifies one pair of translate blocks with equal "
-        "endomorphism algebras"
+        "fork-orbit enumeration of the tilting modules that survive one "
+        "inverse translate gives 84; the recursion tm_lambda(6, 1) gives 83, "
+        "the reference value; the cause of the gap is open"
     ),
     ("a_nht_lambda", 4): (
         "the reference counts the four non-hereditary case families at rank 4; "

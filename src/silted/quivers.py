@@ -1060,22 +1060,6 @@ def qwr_to_json(qwr):
     }
 
 
-def qwr_from_json(doc):
-    q = Quiver(doc["vertices"], [Arrow(a["id"], a["src"], a["tgt"]) for a in doc["arrows"]])
-    rels = []
-    for terms in doc["relations"]:
-        parsed = []
-        for t in terms:
-            num, den = t["coef"].split("/")
-            arrows = [q.arrow_by_id[i] for i in t["path"]]
-            p = arrow_path(arrows[0])
-            for a in arrows[1:]:
-                p = p.then(arrow_path(a))
-            parsed.append((Fraction(int(num), int(den)), p))
-        rels.append(Relation(tuple(parsed)))
-    return QuiverWithRelations(q, rels)
-
-
 # ---- standard quiver builders --------------------------------------------
 
 

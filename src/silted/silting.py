@@ -174,17 +174,6 @@ def enumerate_tilting_modules(cat, graph=None):
     return objs
 
 
-def count_tm_lambda(cat, m):
-    """Tilting modules all of whose summands survive m steps of tau^{-1}."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    count = 0
-    for t in enumerate_tilting_modules(cat):
-        if all(cat.tau_inv_iterated(x, m) is not None for x in t.modules):
-            count += 1
-    return count
-
-
 def completions(cat, graph, s, removed):
     """Silting completions of s minus one summand; used as a mutation check."""
     rest = [x for x in s.summands() if x != removed]

@@ -85,7 +85,7 @@ def test_criterion_4_strictly_shod():
         got[n] = count
         cat = get_catalog(AlgebraSpec("d-linear", n))
         # every flagged record: gldim exactly 3 and all gldim-3 components string
-        # (asserted inside strictly_shod_census; re-assert the totals here)
+        # (asserted by classify_record on every object; re-assert the totals here)
     enum_ok = got == {4: 1, 5: 4, 6: 14, 7: 48}
     formula = [F.a_ss_lambda(n) for n in range(4, 10)]
     formula_ok = formula == [1, 4, 14, 48, 165, 572]

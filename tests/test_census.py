@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from silted import formulas as F
 from silted.census import (
     AlgebraSpec,
+    _ComponentMemo,
+    _iso_key,
     classify_family,
     delta_enumerated,
     expected_realization_end,
@@ -17,8 +21,13 @@ from silted.census import (
     tm_lambda_enumerated,
 )
 from silted.endo import TwoTermHomCalc, end_algebra
+from silted.papertables import TableReport
 from silted.quivers import (
+    Arrow,
+    Path,
+    Quiver,
     QuiverWithRelations,
+    Relation,
     _gldim_by_resolution,
     _gldim_from_words,
     _ideal_words,
@@ -27,6 +36,7 @@ from silted.quivers import (
     are_isomorphic,
     connected_components,
     is_gradable,
+    iso_fingerprint,
     qwr_to_json,
 )
 from silted.silting import enumerate_two_term_silting, is_silting
@@ -117,6 +127,80 @@ def test_classes_agree_on_gldim():
     for rec in records:
         byclass.setdefault(rec.iso_class, set()).add(rec.gldim)
     assert all(len(v) == 1 for v in byclass.values())
+
+
+def whole_end_partition(records):
+    """Class of each record under whole-End are_isomorphic, numbered by first
+    occurrence.  are_isomorphic rejects unequal fingerprints first, so only
+    representatives with the record's fingerprint need a test."""
+    reps = {}
+    out = []
+    n_classes = 0
+    for rec in records:
+        bucket = reps.setdefault(iso_fingerprint(rec.end.qwr), [])
+        cls = next((c for c, q in bucket if are_isomorphic(rec.end.qwr, q)), None)
+        if cls is None:
+            cls = n_classes
+            n_classes += 1
+            bucket.append((cls, rec.end.qwr))
+        out.append(cls)
+    return out
+
+
+@pytest.mark.parametrize("family", ["d-linear", "d-reversed", "b"])
+def test_component_classes_give_the_whole_end_partition(family):
+    records, summary = classify_family(AlgebraSpec(family, 6))
+    assert [rec.iso_class for rec in records] == whole_end_partition(records)
+    assert summary.a_s == max(rec.iso_class for rec in records) + 1
+
+
+@pytest.mark.parametrize("family,n", [("d-linear", 5), ("d-reversed", 5), ("d-linear", 6)])
+def test_strictly_shod_class_count_is_a_ss(family, n):
+    spec = AlgebraSpec(family, n)
+    records, summary = classify_family(spec)
+    flagged, count = strictly_shod_census(spec)
+    assert count == summary.a_ss
+    assert [s for s, _ep, _cls in flagged] == [rec.silting for rec in records if rec.gldim == 3]
+
+
+def square(signs):
+    """Square 1 -> {2, 3} -> 4 with paths p = 1 -> 2 -> 4 and q = 1 -> 3 -> 4;
+    one relation with the given coefficients on p and q (0 leaves a path out)."""
+    q = Quiver([1, 2, 3, 4], [Arrow(1, 1, 2), Arrow(2, 1, 3), Arrow(3, 2, 4), Arrow(4, 3, 4)])
+    p_path, q_path = Path(1, 4, (1, 3)), Path(1, 4, (2, 4))
+    terms = tuple((Fraction(c), pth) for c, pth in zip(signs, (p_path, q_path)) if c)
+    return QuiverWithRelations(q, [Relation(terms)])
+
+
+def test_component_classes_of_hand_built_squares():
+    memo = _ComponentMemo()
+    (minus,) = memo.classify(square((1, -1)))
+    (plus,) = memo.classify(square((1, 1)))
+    (zero,) = memo.classify(square((1, 0)))
+    assert minus.iso_class == plus.iso_class
+    assert zero.iso_class not in (minus.iso_class, plus.iso_class)
+    assert memo.n_classes == 2
+    # a block decomposition is unique, so the order of the blocks is not seen
+    point_then_square = Quiver(
+        [1, 2, 3, 4, 5], [Arrow(1, 2, 3), Arrow(2, 2, 4), Arrow(3, 3, 5), Arrow(4, 4, 5)]
+    )
+    rel = Relation(((Fraction(1), Path(2, 5, (1, 3))), (Fraction(-1), Path(2, 5, (2, 4)))))
+    mixed = memo.classify(QuiverWithRelations(point_then_square, [rel]))
+    point = memo.classify(QuiverWithRelations(Quiver([1], [])))
+    assert _iso_key(mixed) == _iso_key([plus] + point)
+    assert _iso_key(mixed) != _iso_key([zero] + point)
+
+
+def test_isomorphic_components_disagreeing_on_gldim_name_the_object(monkeypatch):
+    import silted.census
+
+    # the one-vertex components at vertices 1 and 2 are isomorphic
+    monkeypatch.setattr(silted.census, "global_dimension", lambda qwr: min(qwr.quiver.vertices) % 2)
+    with pytest.raises(
+        AssertionError,
+        match=r"disagree on gldim \(family d-linear, n=4, silting object .+\)",
+    ):
+        classify_family(AlgebraSpec("d-linear", 4))
 
 
 def test_strictly_shod_census_lambda():
@@ -243,8 +327,18 @@ def test_tilted_of_linear_family_embeds_into_reversed_census():
 def test_tm_lambda_enumerated_matches_reference():
     assert tm_lambda_enumerated(AlgebraSpec("d-linear", 4), 1) == 5
     assert tm_lambda_enumerated(AlgebraSpec("d-linear", 4), 2) == 1
+    assert tm_lambda_enumerated(AlgebraSpec("d-linear", 4), 3) == 0
     assert tm_lambda_enumerated(AlgebraSpec("d-linear", 5), 1) == 21
     assert tm_lambda_enumerated(AlgebraSpec("d-linear", 5), 2) == 6
+
+
+def test_tm_lambda_6_1_gap_is_documented():
+    enum = tm_lambda_enumerated(AlgebraSpec("d-linear", 6), 1)
+    assert (enum, F.tm_lambda(6, 1)) == (84, 83)
+    rep = TableReport()
+    rep.add("tm_lambda_enum", (6, 1), enum=enum, formula=F.tm_lambda(6, 1))
+    assert rep.entries[0]["status"] == "documented"
+    assert rep.ok()
 
 
 def test_delta_enumerated():

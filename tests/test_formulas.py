@@ -113,13 +113,3 @@ def test_t_lambda_small_cases():
     assert F.t_lambda(2) == 1
     assert F.t_lambda(3) == 5
     assert F.t_lambda(4) == 20
-
-
-def test_sym_product():
-    assert F.sym_product_size(3, relation="self") == 6
-    assert F.sym_product_size(2, 3) == 6
-    assert F.sym_product_size(2, 4, "subset") == 7
-    with pytest.raises(ValueError):
-        F.sym_product_size(5, 4, "subset")
-    with pytest.raises(ValueError):
-        F.sym_product_size(-1, 2)

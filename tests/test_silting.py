@@ -7,7 +7,6 @@ from silted.quivers import b_reversed_quiver, d_linear_quiver, line_quiver
 from silted.silting import (
     CompatibilityGraph,
     completions,
-    count_tm_lambda,
     enumerate_tilting_modules,
     enumerate_two_term_silting,
     is_presilting,
@@ -103,14 +102,6 @@ def test_two_term_tilting():
     assert is_two_term_tilting(two_term([], list(cat.q.vertices)), cat)
     with pytest.raises(ValueError):
         is_two_term_tilting(two_term(projs[:2], []), cat)
-
-
-def test_count_tm_lambda():
-    cat4 = knit_catalog(d_linear_quiver(4))
-    assert count_tm_lambda(cat4, 2) == 1
-    assert count_tm_lambda(cat4, 3) == 0  # orbits are exhausted
-    with pytest.raises(ValueError):
-        count_tm_lambda(cat4, 0)
 
 
 def test_mutation_two_completions():
