@@ -76,11 +76,12 @@ def _dynkin_root_count(q):
 class Indec:
     """One indecomposable: explicit representation plus AR bookkeeping."""
 
-    __slots__ = ("id", "dims", "mats", "slice", "proj_vertex", "inj_vertex")
+    __slots__ = ("id", "dims", "dim_vector", "mats", "slice", "proj_vertex", "inj_vertex")
 
-    def __init__(self, idx, dims, mats, slice_, proj_vertex=None, inj_vertex=None):
+    def __init__(self, idx, dims, vertices, mats, slice_, proj_vertex=None, inj_vertex=None):
         self.id = idx
         self.dims = dims          # dict vertex -> int
+        self.dim_vector = tuple(dims[v] for v in vertices)
         self.mats = mats          # dict R-arrow id -> Mat
         self.slice = slice_       # tau^{-1} distance from the projective slice
         self.proj_vertex = proj_vertex
@@ -114,8 +115,7 @@ class ARCatalog:
         return len(self.indecs)
 
     def dim_vector(self, x):
-        ind = self.indecs[x]
-        return tuple(ind.dims[v] for v in self.q.vertices)
+        return self.indecs[x].dim_vector
 
     def proj(self, v):
         return self._proj_id[v]
@@ -161,7 +161,7 @@ class ARCatalog:
         for i in self.q.vertices:
             P = self.alg.projective(i)  # basis of P(i)_u: the R-paths i -> u
             idx = len(self.indecs)
-            self.indecs.append(Indec(idx, P.dims, P.mats, 0, proj_vertex=i))
+            self.indecs.append(Indec(idx, P.dims, self.q.vertices, P.mats, 0, proj_vertex=i))
             self._proj_id[i] = idx
             self.arrows_out[idx] = []
             key = self.dim_vector(idx)
@@ -254,7 +254,7 @@ class ARCatalog:
                 sec.a[pos][c] = F1
             z_mats[a.id] = proj[a.tgt].mul(big).mul(sec)
         z = len(self.indecs)
-        self.indecs.append(Indec(z, z_dims, z_mats, ind.slice + 1))
+        self.indecs.append(Indec(z, z_dims, self.q.vertices, z_mats, ind.slice + 1))
         self.arrows_out[z] = []
         key = self.dim_vector(z)
         if key in self.by_dim:

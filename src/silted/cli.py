@@ -17,8 +17,8 @@ Exit codes
 """
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import formulas as F
 from .census import (
@@ -99,7 +99,62 @@ def _build_parser():
 
 
 def _json_dump(doc):
-    return json.dumps(doc, indent=2, sort_keys=False)
+    """The text of json.dumps(doc, indent=2), byte for byte.
+
+    The stdlib falls back to its pure-Python encoder whenever an indent is
+    set; this writer knows the few types the CLI's documents hold: dicts
+    with str keys, lists and tuples, str, int, bool and None.  Anything
+    else raises TypeError.
+    """
+    out = []
+    _emit(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _emit(x, nl, put):
+    """Append the indented JSON text of x at the depth whose newline plus
+    indent is nl."""
+    t = type(x)
+    if t is list or t is tuple:
+        if not x:
+            put("[]")
+            return
+        inner = nl + "  "
+        # every item a plain int (a bool is not): one join for the list
+        if list(map(type, x)).count(int) == len(x):
+            put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            _emit(v, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif t is dict:
+        if not x:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            put(sep + _quote(k) + ": ")
+            _emit(v, inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif t is str:
+        put(_quote(x))
+    elif t is int:
+        put(int.__repr__(x))
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif x is None:
+        put("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _summary_md(summary):

@@ -1,18 +1,23 @@
 """Dense exact linear algebra over the rationals.
 
 Everything downstream (intertwiner solving, knitting, presentation
-extraction, global dimension) runs on Fraction-valued matrices; there is
-no floating point anywhere in the package.
+extraction, global dimension) runs on these matrices and vectors.  Entries
+are Python ints with an exact Fraction fallback: `Mat` keeps int entries
+and converts any other entry with Fraction, and `Subspace` divides only by
+a pivot that is not +-1, through a Fraction.  Integral data reduced over
+unit pivots therefore stay int, and mixed int/Fraction arithmetic is exact
+on any other input.  There is no floating point anywhere in the package.
 """
 
 from fractions import Fraction
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+F0 = 0
+F1 = 1
 
 
 class Mat:
-    """A rows x cols matrix of Fractions with explicit shape.
+    """A rows x cols matrix of exact rationals with explicit shape: int
+    entries are kept as they are, any other entry becomes a Fraction.
 
     Shapes are carried explicitly so zero-dimensional spaces (empty
     matrices) behave correctly in products, stacks and rank computations.
@@ -28,7 +33,7 @@ class Mat:
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match shape")
-            self.a = [[Fraction(x) for x in r] for r in entries]
+            self.a = [[x if type(x) is int else Fraction(x) for x in r] for r in entries]
 
     @staticmethod
     def from_columns(cols_list, rows):
@@ -127,8 +132,13 @@ class Subspace:
         piv = next((j for j in range(self.ambient) if v[j] != 0), None)
         if piv is None:
             return False
-        inv = F1 / v[piv]
-        v = [x * inv for x in v]
+        # a unit pivot is its own inverse, so integral rows stay int
+        pv = v[piv]
+        if pv == -1:
+            v = [-x for x in v]
+        elif pv != 1:
+            inv = Fraction(1) / pv
+            v = [x * inv for x in v]
         # keep earlier rows fully reduced
         for row in self.rows:
             c = row[piv]
@@ -296,6 +306,6 @@ class Solver:
             x[p] = val
         # the rows with pivot >= n span the left null space of mat, so a
         # consistent right-hand side always satisfies this check
-        if self.mat.apply(x) != list(map(Fraction, rhs)):
+        if self.mat.apply(x) != list(rhs):
             raise AssertionError("Solver returned a non-solution of a consistent system")
         return x

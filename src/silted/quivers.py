@@ -117,7 +117,7 @@ def arrow_path(a: Arrow):
 class Relation:
     """An exact-rational combination of parallel paths of length >= 2."""
 
-    terms: tuple  # of (Fraction, Path)
+    terms: tuple  # of (coefficient, Path)
 
     def __post_init__(self):
         if not self.terms:
@@ -164,6 +164,7 @@ class QuiverWithRelations:
         self._paths = None
         self._ideal = None
         self._words = _UNSET
+        self._fingerprint = None
         self._pathindex = None
 
     # ---- path space bookkeeping -------------------------------------
@@ -790,7 +791,14 @@ def _pair_dims(qwr):
 
 
 def iso_fingerprint(qwr):
-    """Cheap invariant used to bucket presentations before exact matching."""
+    """Cheap invariant used to bucket presentations before exact matching.
+    Cached on qwr."""
+    if qwr._fingerprint is None:
+        qwr._fingerprint = _fingerprint(qwr)
+    return qwr._fingerprint
+
+
+def _fingerprint(qwr):
     q = qwr.quiver
     prof = _degree_profile(qwr)
     pd = _pair_dims(qwr)
@@ -946,7 +954,7 @@ def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
                         for aid, i in arrow_pos.items():
                             bid = amap[aid]
                             exps[i] = (1 if bid in spt else 0) - (1 if bid in sp0 else 0)
-                        ratio = (kappa[t] * c0) / (kappa[0] * ct)
+                        ratio = Fraction(kappa[t] * c0) / (kappa[0] * ct)
                         constraints.append((exps, ratio))
                 # solution spaces of dimension >= 2 impose no chain constraint;
                 # the final verification below covers them
@@ -1013,7 +1021,7 @@ def _solve_rescaling(arrow_ids, constraints):
         exps_by_prime[p] = sol
     weights = {}
     for i, aid in enumerate(arrow_ids):
-        w = Fraction(-1 if sign_sol[i] else 1)
+        w = -1 if sign_sol[i] else 1
         for p, sol in exps_by_prime.items():
             w *= Fraction(p) ** sol[i]
         weights[aid] = w

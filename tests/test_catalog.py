@@ -206,3 +206,26 @@ def test_ar_duality_small():
                     assert e == 0
                 else:
                     assert e == cat.hom_dim(n, cat.tau(m))
+
+
+def test_hom_bases_stay_integral():
+    """Every hom-basis entry of the Lambda_5 catalog is an int: the linear
+    algebra only meets unit pivots there, so no Fraction is made."""
+    cat = knit_catalog(d_linear_quiver(5))
+    entries = [
+        c
+        for x in range(len(cat))
+        for y in range(len(cat))
+        for phi in cat.hom_basis(x, y)
+        for m in phi.values()
+        for row in m.a
+        for c in row
+    ]
+    assert entries and all(type(c) is int for c in entries)
+
+
+def test_dim_vector_is_stored_once():
+    cat = knit_catalog(d_reversed_quiver(5))
+    for x, ind in enumerate(cat.indecs):
+        assert cat.dim_vector(x) is cat.dim_vector(x)
+        assert cat.dim_vector(x) == tuple(ind.dims[v] for v in cat.q.vertices)

@@ -238,6 +238,24 @@ def test_gldim_resolved_once_per_presentation(monkeypatch):
     assert len(distinct) < sum(len(rec.components) for rec in records)
 
 
+def test_fingerprint_computed_once_per_component_presentation(monkeypatch):
+    import silted.census
+    import silted.quivers
+
+    computed = []
+    census_calls = []
+    compute = silted.quivers._fingerprint
+    lookup = silted.census.iso_fingerprint
+    monkeypatch.setattr(silted.quivers, "_fingerprint", lambda q: computed.append(q) or compute(q))
+    monkeypatch.setattr(silted.census, "iso_fingerprint", lambda q: census_calls.append(q) or lookup(q))
+    records, _ = classify_family(AlgebraSpec("d-linear", 6))
+    distinct = {
+        json.dumps(qwr_to_json(c.qwr), sort_keys=True) for rec in records for c in rec.components
+    }
+    # are_isomorphic reads the fingerprints the census already bucketed by
+    assert len(computed) == len(census_calls) == len(distinct) == 375
+
+
 def census_components(family, n):
     """Every component of every End of a census, in census order."""
     cat = get_catalog(AlgebraSpec(family, n))

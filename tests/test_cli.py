@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
+from silted import cli
 from silted.cli import run
 
 
@@ -146,3 +148,60 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "42"
+
+
+# ---- the JSON writer ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--family", "d-linear", "--n", "5"],
+        ["classify", "--family", "d-linear", "--n", "5", "--summary-only"],
+        ["classify", "--family", "b", "--n", "5"],
+        ["classify", "--family", "b", "--n", "5", "--summary-only"],
+        ["enumerate", "--family", "d-reversed", "--n", "6"],
+        ["tables", "--enum-max", "5", "--format", "json"],
+        ["realization", "--n", "6", "--orientation", "linear"],
+        ["realization", "--n", "6", "--orientation", "reversed"],
+    ],
+)
+def test_json_writer_matches_stdlib_on_cli_documents(monkeypatch, argv):
+    docs = []
+    write = cli._json_dump
+    monkeypatch.setattr(cli, "_json_dump", lambda doc: docs.append(doc) or write(doc))
+    code, out = capture(argv)
+    assert code == 0 and len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+
+
+def test_json_writer_matches_stdlib_on_edge_cases():
+    docs = [
+        [],
+        [[]],
+        [[], {}, ()],
+        (),
+        ((6, 1), (), [()]),
+        {},
+        {"a": {}, "b": {"c": []}},
+        "",
+        "café ∃ \U0001d53b \x00\x1f\x7f \"quoted\" back\\slash\ttab\nnewline",
+        {"é\n\"": "\x01", "": None},
+        [-1, 0, -12345678901234567890],
+        [1, True, 2],
+        [0, False, None],
+        [None, None],
+        True,
+        None,
+        -7,
+    ]
+    for doc in docs:
+        assert cli._json_dump(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, [Fraction(1, 2)], {1, 2}, {1: "a"}, {(1, 2): 3}, {"ok": [{None: 0}]}]
+)
+def test_json_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._json_dump(doc)

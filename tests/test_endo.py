@@ -240,3 +240,15 @@ def test_end_provenance():
     doc = ep.to_json()
     assert doc["vertexSummands"]["1"] == {"dim": list(cat.dim_vector(cat.proj(3)))}
     assert doc["vertexSummands"]["3"] == {"shifted": 1}
+
+
+@pytest.mark.parametrize("q", [d_linear_quiver(5), d_reversed_quiver(5), b_reversed_quiver(5)])
+def test_end_relation_coefficients_stay_integral(q):
+    cat, calc = calc_for(q)
+    coefs = [
+        c
+        for s in enumerate_two_term_silting(cat)
+        for rel in end_algebra(s, cat, calc).qwr.relations
+        for c, _ in rel.terms
+    ]
+    assert coefs and all(type(c) is int for c in coefs)

@@ -111,3 +111,122 @@ def test_integer_solve_random_roundtrip():
 
 def test_integer_solve_detects_insoluble():
     assert integer_solve([[2, 4], [0, 2]], [1, 0]) is None
+
+
+# ---- integer entries against an all-Fraction reference -------------------
+
+
+class FractionSubspace:
+    """The all-Fraction reduced row echelon subspace, kept as the reference
+    for the int entries of Subspace.  `pivots_met` records the value of
+    every pivot before it was scaled to 1."""
+
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+        self.pivots_met = []
+
+    def reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c != 0:
+                for j in range(p, self.ambient):
+                    v[j] -= c * row[j]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        piv = next((j for j in range(self.ambient) if v[j] != 0), None)
+        if piv is None:
+            return False
+        self.pivots_met.append(v[piv])
+        inv = Fraction(1) / v[piv]
+        v = [x * inv for x in v]
+        for row in self.rows:
+            c = row[piv]
+            if c != 0:
+                for j in range(self.ambient):
+                    row[j] -= c * v[j]
+        k = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        self.rows.insert(k, v)
+        self.pivots.insert(k, piv)
+        return True
+
+    def quotient_coords(self, vec):
+        v = self.reduce(vec)
+        pivset = set(self.pivots)
+        return [v[j] for j in range(self.ambient) if j not in pivset]
+
+    def kernel(self):
+        pivset = set(self.pivots)
+        basis = []
+        for f in (j for j in range(self.ambient) if j not in pivset):
+            v = [Fraction(0)] * self.ambient
+            v[f] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
+            basis.append(v)
+        return basis
+
+
+def random_integer_matrices(seed, count):
+    """Seeded small integer matrices: some over {-1, 0, 1}, whose pivots are
+    mostly +-1, and some with entries up to 3 in size, so pivots +-2 and 3
+    also occur."""
+    rng = random.Random(seed)
+    for t in range(count):
+        r, c = rng.randint(1, 5), rng.randint(1, 7)
+        values = (-1, 0, 0, 1) if t % 2 else (-3, -2, -1, 0, 0, 1, 2, 3)
+        yield [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+
+
+def all_int(vectors):
+    return all(type(x) is int for v in vectors for x in v)
+
+
+def test_integer_entries_match_the_fraction_reference():
+    seen_non_unit = seen_unit_only = 0
+    probe_rng = random.Random(11)
+    for entries in random_integer_matrices(2, 400):
+        rows, cols = len(entries), len(entries[0])
+        ref = FractionSubspace(cols)
+        for row in entries:
+            ref.add(row)
+        m = Mat(rows, cols, entries)
+        got_rows, got_pivots = rref(m)
+        assert (got_rows, got_pivots) == (ref.rows, ref.pivots)
+        assert kernel(m) == (ref.kernel(), [j for j in range(cols) if j not in ref.pivots])
+        sp = Subspace(cols)
+        for row in entries:
+            sp.add(row)
+        probes = [[probe_rng.randint(-3, 3) for _ in range(cols)] for _ in range(3)]
+        reduced = [sp.reduce(v) for v in probes]
+        coords = [sp.quotient_coords(v) for v in probes]
+        assert reduced == [ref.reduce(v) for v in probes]
+        assert coords == [ref.quotient_coords(v) for v in probes]
+        if all(p in (1, -1) for p in ref.pivots_met):
+            seen_unit_only += 1
+            assert all_int(got_rows) and all_int(kernel(m)[0])
+            assert all_int(reduced) and all_int(coords)
+        else:
+            seen_non_unit += 1
+    # both kinds of matrix were exercised
+    assert seen_unit_only > 100 and seen_non_unit > 50
+
+
+def test_mat_keeps_int_entries_and_converts_the_rest():
+    m = Mat(1, 4, [[1, True, Fraction(1, 2), "3/4"]])
+    assert [type(x) for x in m.a[0]] == [int, Fraction, Fraction, Fraction]
+    assert m.a[0] == [1, 1, Fraction(1, 2), Fraction(3, 4)]
+    assert type(F0) is int and type(F1) is int
+
+
+def test_non_unit_pivot_keeps_arithmetic_exact():
+    sp = Subspace(2)
+    sp.add([2, 1])
+    assert sp.rows == [[1, Fraction(1, 2)]]
+    assert sp.quotient_coords([0, 1]) == [1]
+    assert sp.reduce([4, 3]) == [0, 1]
+    assert nullspace(Mat(1, 2, [[3, 1]])) == [[Fraction(-1, 3), 1]]

@@ -39,12 +39,15 @@ def path(q, *arrow_ids):
     return p
 
 
-def square_qwr(diff=True):
-    """Commutative square 1 -> {2,3} -> 4 with p - q (or p + q) killed."""
+def square_qwr(diff=True, coef=None):
+    """Commutative square 1 -> {2,3} -> 4 with p - q (or p + q, or
+    p + coef q) killed."""
     q = Quiver([1, 2, 3, 4], [Arrow(1, 1, 2), Arrow(2, 1, 3), Arrow(3, 2, 4), Arrow(4, 3, 4)])
     p1 = path(q, 1, 3)
     p2 = path(q, 2, 4)
-    rel = Relation(((Fraction(1), p1), (Fraction(-1 if diff else 1), p2)))
+    if coef is None:
+        coef = Fraction(-1 if diff else 1)
+    rel = Relation(((1, p1), (coef, p2)))
     return QuiverWithRelations(q, [rel])
 
 
@@ -300,6 +303,9 @@ def test_iso_detects_relation_difference():
 
 def test_iso_up_to_arrow_rescaling():
     assert are_isomorphic(square_qwr(diff=True), square_qwr(diff=False))
+    # int coefficients: rescaling ratios such as 2 and -3/2 stay exact
+    assert are_isomorphic(square_qwr(coef=2), square_qwr(diff=True))
+    assert are_isomorphic(square_qwr(coef=-3), square_qwr(coef=2))
 
 
 def test_iso_square_vs_double_zero_differs():
