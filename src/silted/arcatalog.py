@@ -123,9 +123,6 @@ class ARCatalog:
     def inj(self, v):
         return self._inj_id[v]
 
-    def module_by_dim(self, dims):
-        return self.by_dim[tuple(dims)]
-
     def is_projective(self, x):
         return self.indecs[x].proj_vertex is not None
 
@@ -366,17 +363,23 @@ class ARCatalog:
         self._pres_cache[x] = pres
         return pres
 
-    def ext1_dim(self, x, y):
-        """dim Ext^1(X, Y) = dim coker(Hom(P0,Y) -> Hom(P1,Y))."""
-        if self.is_projective(x):
-            return 0
+    def restriction_image(self, x, y):
+        """Image of Hom(P0, Y) -> Hom(P1, Y) under restriction along the
+        minimal presentation of X, in Hom(P1, Y)-coordinates; its cokernel
+        is Ext^1(X, Y)."""
         pres = self.min_projective_presentation(x)
         Y = self.indecs[y]
-        total = pres.hom_p1_dim(Y)
-        img = Subspace(total)
-        for col in pres.restriction_columns(Y):
-            img.add(col)
-        return total - img.dim
+        img = Subspace(pres.hom_p1_dim(Y))
+        # Ext^1 out of a projective vanishes (P1 = 0 there anyway)
+        if not self.is_projective(x):
+            for col in pres.restriction_columns(Y):
+                img.add(col)
+        return img
+
+    def ext1_dim(self, x, y):
+        """dim Ext^1(X, Y) = dim coker(Hom(P0,Y) -> Hom(P1,Y))."""
+        img = self.restriction_image(x, y)
+        return img.ambient - img.dim
 
 
 class Presentation:

@@ -22,10 +22,18 @@ inclusion of M into maps that factor through it, so the composite of any
 representative lands in the same class.  The output is a quiver with
 relations (the Gabriel quiver with a minimal generating set of the kernel
 ideal), audited against the total hom dimension.
+
+The paths of the Gabriel quiver come from one `QuiverWithRelations` path
+table: the evaluation map, the kernels and the relation terms are indexed
+by it, and the presented algebra is bound over the same table
+(`with_relations`), so the audit does not enumerate the paths again.
+Every linear solve (hom-space coordinates, cover and syzygy lifts) is
+`linalg.solve`, and the ms spaces are cokernels of the catalog's
+`restriction_image`.
 """
 
-from .linalg import F0, F1, Mat, Solver, Subspace, nullspace
-from .quivers import Arrow, Path, Quiver, QuiverWithRelations, Relation, expand
+from .linalg import F0, F1, Mat, Subspace, nullspace, solve
+from .quivers import Arrow, Quiver, QuiverWithRelations, Relation, arrow_path, expand
 
 
 MOD = "m"
@@ -49,10 +57,6 @@ class TwoTermHomCalc:
 
     def __init__(self, catalog):
         self.cat = catalog
-        self._ext_cache = {}
-        self._cover_solver_cache = {}
-        self._iota_solver_cache = {}
-        self._mm_solver_cache = {}
         self._space_cache = {}
         self._mult_cache = {}
 
@@ -75,33 +79,16 @@ class TwoTermHomCalc:
 
     def _mm_space(self, x, y, kind="mm"):
         basis = self.cat.hom_basis(x, y)
-        return HomSpace(kind, len(basis), {"x": x, "y": y, "basis": basis})
+        return HomSpace(kind, len(basis), {"basis": basis})
 
     def _ms_space(self, x, v):
-        dim, sub, pres = self._ext_data(x, v)
+        sub = self.cat.restriction_image(x, self.cat.proj(v))
         reps = []
-        total = sub.ambient
         for j in sub.complement_indices():
-            e = [F0] * total
+            e = [F0] * sub.ambient
             e[j] = F1
             reps.append(e)
-        return HomSpace("ms", dim, {"x": x, "v": v, "sub": sub, "pres": pres, "basis": reps})
-
-    def _ext_data(self, x, v):
-        key = (x, v)
-        if key in self._ext_cache:
-            return self._ext_cache[key]
-        pres = self.cat.min_projective_presentation(x)
-        P = self.cat.indecs[self.cat.proj(v)]
-        total = pres.hom_p1_dim(P)
-        sub = Subspace(total)
-        # Ext^1 out of a projective vanishes (P1 = 0 there anyway)
-        if not self.cat.is_projective(x):
-            for col in pres.restriction_columns(P):
-                sub.add(col)
-        out = (total - sub.dim, sub, pres)
-        self._ext_cache[key] = out
-        return out
+        return HomSpace("ms", sub.ambient - sub.dim, {"sub": sub, "basis": reps})
 
     # ---- coordinates ----------------------------------------------------
 
@@ -110,20 +97,10 @@ class TwoTermHomCalc:
             return []
         if space.kind == "ms":
             return space.data["sub"].quotient_coords(concrete)
-        # module-style spaces
-        if space.dim == 0:
-            if concrete is not None and any(
-                x != 0 for u in self.cat.q.vertices for x in concrete[u].flatten()
-            ):
-                raise AssertionError("nonzero map in a zero hom space")
-            return []
-        key = (space.data["x"], space.data["y"])
-        solver = self._mm_solver_cache.get(key)
-        if solver is None:
-            cols = [self._flatten_mm(b) for b in space.data["basis"]]
-            solver = Solver(Mat.from_columns(cols, len(cols[0])))
-            self._mm_solver_cache[key] = solver
-        out = solver.solve(self._flatten_mm(concrete))
+        # module-style spaces; only the zero map lies in a zero space
+        vec = self._flatten_mm(concrete)
+        cols = [self._flatten_mm(b) for b in space.data["basis"]]
+        out = solve(Mat.from_columns(cols, len(vec)), vec)
         if out is None:
             raise AssertionError("map does not lie in its hom space")
         return out
@@ -175,41 +152,23 @@ class TwoTermHomCalc:
             return out
         raise AssertionError(f"unsupported composition signature {sig}")
 
-    def _cover_solvers(self, y):
-        if y in self._cover_solver_cache:
-            return self._cover_solver_cache[y]
-        pres = self.cat.min_projective_presentation(y)
-        solvers = {u: Solver(pres.p0.cover[u]) for u in self.cat.q.vertices}
-        self._cover_solver_cache[y] = (pres, solvers)
-        return pres, solvers
-
-    def _iota_solvers(self, y):
-        if y in self._iota_solver_cache:
-            return self._iota_solver_cache[y]
-        pres = self.cat.min_projective_presentation(y)
-        solvers = {u: Solver(pres.iota[u]) for u in self.cat.q.vertices}
-        self._iota_solver_cache[y] = solvers
-        return solvers
-
     def _lift_p1(self, x, y, f):
         """P1-component of a chain lift of the module map f: X -> Y."""
         pres_x = self.cat.min_projective_presentation(x)
-        pres_y, cover_solvers = self._cover_solvers(y)
+        pres_y = self.cat.min_projective_presentation(y)
         gens0 = []
         for k, w in enumerate(pres_x.p0.slots):
-            target_vec = f[w].apply(pres_x.p0.gens[k])
-            y0 = cover_solvers[w].solve(target_vec)
+            y0 = solve(pres_y.p0.cover[w], f[w].apply(pres_x.p0.gens[k]))
             if y0 is None:
                 raise AssertionError("projective cover factorization failed")
             gens0.append(y0)
         f0 = expand(self.cat.alg, pres_x.p0.slots, gens0, pres_y.p0.P)
-        iota_solvers = self._iota_solvers(y)
         f1 = {}
         for u in self.cat.q.vertices:
             m = f0[u].mul(pres_x.iota[u])
             out = Mat(pres_y.p1.P.dims[u], pres_x.p1.P.dims[u])
             for j in range(m.cols):
-                sol = iota_solvers[u].solve(m.column(j))
+                sol = solve(pres_y.iota[u], m.column(j))
                 if sol is None:
                     raise AssertionError("chain lift does not preserve syzygies")
                 for i in range(out.rows):
@@ -305,79 +264,66 @@ def end_algebra(silt, cat, calc=None):
     if not gq.is_acyclic():
         raise AssertionError("Gabriel quiver of End is not acyclic")
 
-    out_by_vertex = {v: sorted((a for a in arrows if a.src == v), key=lambda a: a.id) for v in gq.vertices}
-    paths_by_pair = {}
-    eval_by_path = {}
-
-    def dfs(path_arrows, src, cur, vec):
-        """Walk paths out of src; vec holds the coordinates of the path so far."""
-        for a in out_by_vertex[cur]:
-            t = witnesses[a.id]
-            out = [F0] * h[src - 1][a.tgt - 1]
-            if path_arrows:
-                table = calc.mult(summands[src - 1], summands[cur - 1], summands[a.tgt - 1])
-                for x, row in zip(vec, table):
-                    if x:
-                        for d, c in enumerate(row[t]):
-                            out[d] += x * c
-            else:
-                out[t] = F1
-            new_path = path_arrows + (a.id,)
-            paths_by_pair.setdefault((src, a.tgt), []).append(new_path)
-            eval_by_path[new_path] = out
-            dfs(new_path, src, a.tgt, out)
-
-    for v in gq.vertices:
-        dfs((), v, v, None)
+    # Every path of length >= 1 is evaluated, in order of length, from its
+    # prefix's coordinates and the mult table of its last arrow.
+    free = QuiverWithRelations(gq)
+    pairs = [(u, v) for u in gq.vertices for v in gq.vertices if u != v and free.paths(u, v)]
+    evals = {}
+    for p in sorted((p for key in pairs for p in free.paths(*key)), key=lambda p: p.length):
+        a = gq.arrow_by_id[p.arrows[-1]]
+        t = witnesses[a.id]
+        out = [F0] * h[p.source - 1][p.target - 1]
+        if p.length == 1:
+            out[t] = F1
+        else:
+            table = calc.mult(summands[p.source - 1], summands[a.src - 1], summands[a.tgt - 1])
+            for x, row in zip(evals[p.arrows[:-1]], table):
+                if x:
+                    for d, c in enumerate(row[t]):
+                        out[d] += x * c
+        evals[p.arrows] = out
 
     # kernels of the evaluation, per ordered vertex pair
     kernels = {}
-    for (u, v), plist in paths_by_pair.items():
-        plist.sort(key=lambda p: (len(p), p))
-        emat = Mat.from_columns([eval_by_path[p] for p in plist], h[u - 1][v - 1])
+    for (u, v) in pairs:
+        plist = free.paths(u, v)
+        emat = Mat.from_columns([evals[p.arrows] for p in plist], h[u - 1][v - 1])
         kvecs = nullspace(emat)
         for kv in kvecs:
             for c, p in zip(kv, plist):
-                if c != 0 and len(p) == 1:
+                if c != 0 and p.length == 1:
                     raise AssertionError("kernel meets the arrow span")
         kernels[(u, v)] = kvecs
 
+    # a kernel vector is a minimal relation when it leaves the span of the
+    # kernels one arrow shorter, extended by that arrow on either side
     relations = []
-    for (u, v) in sorted(paths_by_pair):
+    for (u, v) in pairs:
         kvecs = kernels[(u, v)]
         if not kvecs:
             continue
-        plist = paths_by_pair[(u, v)]
-        pindex = {p: t for t, p in enumerate(plist)}
+        plist = free.paths(u, v)
+        pindex = free.path_index(u, v)
         boundary = Subspace(len(plist))
-        for a in out_by_vertex[u]:
-            w = a.tgt
-            for kv in kernels.get((w, v), []):
+        for a in gq.out_arrows[u]:
+            for kv in kernels.get((a.tgt, v), []):
                 vec = [F0] * len(plist)
-                for c, p in zip(kv, paths_by_pair[(w, v)]):
+                for c, p in zip(kv, free.paths(a.tgt, v)):
                     if c != 0:
-                        vec[pindex[(a.id,) + p]] += c
+                        vec[pindex[arrow_path(a).then(p)]] += c
                 boundary.add(vec)
-        for (w, x), qlist in paths_by_pair.items():
-            if w != u or x == v:
-                continue
-            for kv in kernels.get((u, x), []):
-                for a in out_by_vertex[x]:
-                    if a.tgt != v:
-                        continue
-                    vec = [F0] * len(plist)
-                    for c, p in zip(kv, qlist):
-                        if c != 0:
-                            vec[pindex[p + (a.id,)]] += c
-                    boundary.add(vec)
+        for a in gq.in_arrows[v]:
+            for kv in kernels.get((u, a.src), []):
+                vec = [F0] * len(plist)
+                for c, p in zip(kv, free.paths(u, a.src)):
+                    if c != 0:
+                        vec[pindex[p.then(arrow_path(a))]] += c
+                boundary.add(vec)
         for kv in kvecs:
             if boundary.add(kv):
-                terms = tuple(
-                    (c, _arrow_tuple_to_path(gq, p)) for c, p in zip(kv, plist) if c != 0
-                )
-                relations.append(Relation(terms))
+                relations.append(Relation(tuple((c, p) for c, p in zip(kv, plist) if c != 0)))
 
-    qwr = QuiverWithRelations(gq, relations)
+    qwr = free.with_relations(relations)
     total = sum(sum(row) for row in h)
     if qwr.algebra_dimension() != total:
         raise AssertionError("presentation audit failed: ideal does not match kernels")
@@ -389,8 +335,3 @@ def end_algebra(silt, cat, calc=None):
             provenance[idx + 1] = {"shifted": s[1]}
     return EndPresentation(qwr, summands, provenance, h, total)
 
-
-def _arrow_tuple_to_path(q, arrow_ids):
-    first = q.arrow_by_id[arrow_ids[0]]
-    tgt = q.arrow_by_id[arrow_ids[-1]].tgt
-    return Path(first.src, tgt, tuple(arrow_ids))

@@ -7,6 +7,12 @@ and converts any other entry with Fraction, and `Subspace` divides only by
 a pivot that is not +-1, through a Fraction.  Integral data reduced over
 unit pivots therefore stay int, and mixed int/Fraction arithmetic is exact
 on any other input.  There is no floating point anywhere in the package.
+
+Rational systems are solved by `solve`, which reads the solution off the
+canonical kernel of the augmented matrix, so one elimination routine
+(`Subspace.add`) serves reduction, kernels and solves alike.
+`integer_solve` is the separate integer-solution routine for exponent
+systems.
 """
 
 from fractions import Fraction
@@ -172,13 +178,6 @@ def rref(mat):
     return sp.basis(), list(sp.pivots)
 
 
-def rank(mat):
-    sp = Subspace(mat.cols)
-    for i in range(mat.rows):
-        sp.add(mat.a[i])
-    return sp.dim
-
-
 def kernel(mat):
     """Canonical basis of the right kernel and its free columns.
 
@@ -201,6 +200,25 @@ def kernel(mat):
 def nullspace(mat):
     """Canonical basis of the right kernel, ordered by free column index."""
     return kernel(mat)[0]
+
+
+def solve(mat, rhs):
+    """The solution x of mat * x = rhs that is zero at every free column of
+    mat, or None when rhs is not in the column span.
+
+    rhs lies in the span exactly when the last column of [mat | rhs] is
+    free, and the canonical kernel vector at that column is (-x, 1).
+    """
+    if len(rhs) != mat.rows:
+        raise ValueError("right-hand side length mismatch")
+    aug = Mat(mat.rows, mat.cols + 1, [row + [b] for row, b in zip(mat.a, rhs)])
+    basis, free = kernel(aug)
+    if not free or free[-1] != mat.cols:
+        return None
+    x = [-c for c in basis[-1][:-1]]
+    if mat.apply(x) != list(rhs):
+        raise AssertionError("solve returned a non-solution of a consistent system")
+    return x
 
 
 def integer_solve(emat, b):
@@ -273,39 +291,3 @@ def integer_solve(emat, b):
         if sum(e * xx for e, xx in zip(erow, x)) != bb:
             raise AssertionError("integer_solve produced an invalid solution")
     return x
-
-
-class Solver:
-    """Reusable solver for many right-hand sides against a fixed matrix."""
-
-    def __init__(self, mat):
-        self.mat = mat
-        n = mat.cols
-        # carry an identity block to record the row operations
-        aug = Mat(mat.rows, n + mat.rows)
-        for i in range(mat.rows):
-            aug.a[i] = list(mat.a[i]) + [F1 if j == i else F0 for j in range(mat.rows)]
-        sp = Subspace(n + mat.rows)
-        for i in range(mat.rows):
-            sp.add(aug.a[i])
-        self.rows = [r for r in sp.rows]
-        self.pivots = list(sp.pivots)
-
-    def solve(self, rhs):
-        """Return x with mat*x = rhs (free vars 0), or None if inconsistent."""
-        n = self.mat.cols
-        x = [F0] * n
-        for row, p in zip(self.rows, self.pivots):
-            if p >= n:
-                # pure row-operation row: consistency constraint
-                val = sum((row[n + i] * rhs[i] for i in range(self.mat.rows)), F0)
-                if val != 0:
-                    return None
-                continue
-            val = sum((row[n + i] * rhs[i] for i in range(self.mat.rows)), F0)
-            x[p] = val
-        # the rows with pivot >= n span the left null space of mat, so a
-        # consistent right-hand side always satisfies this check
-        if self.mat.apply(x) != list(rhs):
-            raise AssertionError("Solver returned a non-solution of a consistent system")
-        return x

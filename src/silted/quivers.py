@@ -204,6 +204,16 @@ class QuiverWithRelations:
             self._build_paths()
         return self._pathindex.get((u, v), {})
 
+    def with_relations(self, relations):
+        """The same quiver bound by `relations`, sharing these path lists
+        and indices (they depend on the quiver alone) instead of building
+        its own."""
+        if self._paths is None:
+            self._build_paths()
+        out = QuiverWithRelations(self.quiver, relations)
+        out._paths, out._pathindex = self._paths, self._pathindex
+        return out
+
     def relation_vector(self, rel):
         """Coefficient vector of a relation in the (source,target) path basis."""
         u, v = rel.source, rel.target

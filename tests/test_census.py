@@ -256,6 +256,33 @@ def test_fingerprint_computed_once_per_component_presentation(monkeypatch):
     assert len(computed) == len(census_calls) == len(distinct) == 375
 
 
+def test_path_table_built_once_per_end_presentation(monkeypatch):
+    import silted.census
+
+    builds = []
+    per_end = []
+    build = QuiverWithRelations._build_paths
+    end = silted.census.end_algebra
+
+    def counting_end(*args, **kwargs):
+        before = len(builds)
+        ep = end(*args, **kwargs)
+        per_end.append(len(builds) - before)
+        # the relation terms are the paths of the table the End was built on
+        for rel in ep.qwr.relations:
+            for _, p in rel.terms:
+                assert any(p is q for q in ep.qwr.paths(rel.source, rel.target))
+        return ep
+
+    monkeypatch.setattr(QuiverWithRelations, "_build_paths", lambda q: builds.append(q) or build(q))
+    monkeypatch.setattr(silted.census, "end_algebra", counting_end)
+    records, _ = classify_family(AlgebraSpec("d-linear", 5))
+    assert per_end == [1] * len(records) == [1] * 182
+    # components, gldim and dedup reuse the End's table; the one other
+    # build is the base algebra's, when the catalog is not yet memoised
+    assert len(builds) - sum(per_end) <= 1
+
+
 def census_components(family, n):
     """Every component of every End of a census, in census order."""
     cat = get_catalog(AlgebraSpec(family, n))

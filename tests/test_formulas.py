@@ -1,6 +1,9 @@
 import pytest
 
 from silted import formulas as F
+from silted.arcatalog import knit_catalog
+from silted.quivers import d_linear_quiver
+from silted.silting import enumerate_tilting_modules
 
 
 def test_catalan_row():
@@ -113,3 +116,10 @@ def test_t_lambda_small_cases():
     assert F.t_lambda(2) == 1
     assert F.t_lambda(3) == 5
     assert F.t_lambda(4) == 20
+    assert [F.t_lambda(m) for m in range(5, 9)] == [77, 294, 1122, 4290]
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_t_lambda_closed_form_matches_enumeration(m):
+    # the reference is the enumeration over the knitted linear D_m catalog
+    assert F.t_lambda(m) == len(enumerate_tilting_modules(knit_catalog(d_linear_quiver(m))))

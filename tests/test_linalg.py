@@ -7,13 +7,12 @@ from silted.linalg import (
     F0,
     F1,
     Mat,
-    Solver,
     Subspace,
     integer_solve,
     kernel,
     nullspace,
-    rank,
     rref,
+    solve,
     stack_rows,
 )
 
@@ -42,7 +41,6 @@ def test_rref_rank_nullspace():
     m = Mat(3, 3, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     rows, pivots = rref(m)
     assert pivots == [0, 1]
-    assert rank(m) == 2
     ns = nullspace(m)
     assert len(ns) == 1
     for row in m.a:
@@ -62,14 +60,24 @@ def test_rref_rank_nullspace():
         ]
 
 
-def test_solver_many_rhs():
+def test_solve_many_rhs():
     m = Mat(3, 2, [[1, 0], [1, 1], [0, 2]])
-    s = Solver(m)
     for x in ([1, 2], [0, 0], [-3, 5]):
         rhs = m.apply([fr(v) for v in x])
-        got = s.solve(rhs)
+        got = solve(m, rhs)
         assert m.apply(got) == rhs
-    assert s.solve([1, 0, 0]) is None
+    assert solve(m, [1, 0, 0]) is None
+
+
+def test_solve_empty_shapes():
+    # no rows: every rhs is the empty vector and x is zero at every column
+    assert solve(Mat(0, 3), []) == [0, 0, 0]
+    # no columns: only the zero rhs lies in the (zero) column span
+    assert solve(Mat(2, 0), [0, 0]) == []
+    assert solve(Mat(2, 0), [0, 1]) is None
+    assert solve(Mat(0, 0), []) == []
+    with pytest.raises(ValueError):
+        solve(Mat(2, 1), [1])
 
 
 def test_subspace_quotient_coords():
@@ -187,7 +195,7 @@ def all_int(vectors):
 
 
 def test_integer_entries_match_the_fraction_reference():
-    seen_non_unit = seen_unit_only = 0
+    seen_non_unit = seen_unit_only = seen_outside_span = 0
     probe_rng = random.Random(11)
     for entries in random_integer_matrices(2, 400):
         rows, cols = len(entries), len(entries[0])
@@ -202,6 +210,20 @@ def test_integer_entries_match_the_fraction_reference():
         for row in entries:
             sp.add(row)
         probes = [[probe_rng.randint(-3, 3) for _ in range(cols)] for _ in range(3)]
+        # solve against the solution read off [m | rhs], zero at the free
+        # columns, for an rhs in the column span and an arbitrary one
+        for rhs in (m.apply(probes[0]), [probe_rng.randint(-3, 3) for _ in range(rows)]):
+            aug = FractionSubspace(cols + 1)
+            for row, b in zip(entries, rhs):
+                aug.add(row + [b])
+            if cols in aug.pivots:
+                seen_outside_span += 1
+                assert solve(m, rhs) is None
+            else:
+                want = [Fraction(0)] * cols
+                for row, p in zip(aug.rows, aug.pivots):
+                    want[p] = row[cols]
+                assert solve(m, rhs) == want
         reduced = [sp.reduce(v) for v in probes]
         coords = [sp.quotient_coords(v) for v in probes]
         assert reduced == [ref.reduce(v) for v in probes]
@@ -214,6 +236,7 @@ def test_integer_entries_match_the_fraction_reference():
             seen_non_unit += 1
     # both kinds of matrix were exercised
     assert seen_unit_only > 100 and seen_non_unit > 50
+    assert seen_outside_span > 50
 
 
 def test_mat_keeps_int_entries_and_converts_the_rest():
