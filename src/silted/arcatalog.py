@@ -106,6 +106,7 @@ class ARCatalog:
         self._inj_id = {}
         self._inj_dims = {}
         self._hom_cache = {}
+        self._tau_orth = {}
         self._pres_cache = {}
         self._knit()
 
@@ -342,6 +343,19 @@ class ARCatalog:
 
     def hom_dim(self, x, y):
         return len(self.hom_basis(x, y))
+
+    def tau_orthogonal(self, x):
+        """Bitset of the modules y with Hom(X, tau Y) = 0, tau of a projective
+        read as 0: row x of the catalog's tau-orthogonality table, filled
+        from hom_dim the first time it is asked for."""
+        row = self._tau_orth.get(x)
+        if row is None:
+            row = 0
+            for y in range(len(self.indecs)):
+                if self.is_projective(y) or self.hom_dim(x, self.tau_of[y]) == 0:
+                    row |= 1 << y
+            self._tau_orth[x] = row
+        return row
 
     # ---- presentations and Ext ------------------------------------------
 

@@ -8,6 +8,8 @@ enumeration and the closed forms are listed as documented exceptions and
 do not fail the report.
 """
 
+from contextlib import contextmanager
+
 from . import formulas as F
 from .census import (
     AlgebraSpec,
@@ -63,6 +65,17 @@ DOCUMENTED_EXCEPTIONS = {
         "gives 3 (and the total 4 + 3 = 7 tilted classes is agreed)"
     ),
 }
+
+
+@contextmanager
+def _naming_row(quantity, spec):
+    """Re-raise an AssertionError with the table quantity, family and rank."""
+    try:
+        yield
+    except AssertionError as exc:
+        raise AssertionError(
+            f"{exc} (table {quantity}, family {spec.family}, n={spec.n})"
+        ) from exc
 
 
 class TableReport:
@@ -147,18 +160,25 @@ def verify_tables(enum_max_d=5, enum_max_a=6, deep_ss=False):
     for n, ref in REFERENCE["t_a"].items():
         enum = None
         if n <= enum_max_a:
-            cat = get_catalog(AlgebraSpec("a", n))
-            enum = len(enumerate_tilting_modules(cat))
+            spec = AlgebraSpec("a", n)
+            with _naming_row("t_a", spec):
+                enum = len(enumerate_tilting_modules(get_catalog(spec)))
         rep.add("t_a", n, enum=enum, formula=F.t_a(n), reference=ref)
     for n, ref in REFERENCE["delta"].items():
-        enum = delta_enumerated(AlgebraSpec("a", n)) if n <= enum_max_a else None
+        enum = None
+        if n <= enum_max_a:
+            spec = AlgebraSpec("a", n)
+            with _naming_row("delta_row", spec):
+                enum = delta_enumerated(spec)
         rep.add("delta_row", n, enum=enum, formula=F.delta_row(n), reference=ref)
     for (n, m), ref in sorted(REFERENCE["tm_a"].items()):
         rep.add("tm_a", (n, m), formula=F.tm_a(n, m), reference=ref)
     for (n, m), ref in sorted(REFERENCE["tm_lambda"].items()):
         rep.add("tm_lambda", (n, m), formula=F.tm_lambda(n, m), reference=ref)
         if n <= enum_max_d:
-            enum = tm_lambda_enumerated(AlgebraSpec("d-linear", n), m)
+            spec = AlgebraSpec("d-linear", n)
+            with _naming_row("tm_lambda_enum", spec):
+                enum = tm_lambda_enumerated(spec, m)
             rep.add("tm_lambda_enum", (n, m), enum=enum, formula=F.tm_lambda(n, m))
     for n, ref in REFERENCE["a_nht_a"].items():
         rep.add("a_nht_a", n, formula=F.a_nht_a(n), reference=ref)

@@ -5,6 +5,11 @@ checks: two modules are compatible when Hom(X, tau Y) = Hom(Y, tau X) = 0
 (tau of a projective read as 0), a module is compatible with P(v)[1] when
 it vanishes at v, and shifted projectives are mutually compatible.  Basic
 2-term silting complexes are exactly the n-element compatible families.
+
+Module compatibilities are read off the catalog's tau-orthogonality table
+(`ARCatalog.tau_orthogonal`): one bitset per module x of the y with
+Hom(X, tau Y) = 0, filled lazily one row per module.  The compatibility
+graph, `modules_compatible` and `is_presilting` all read that table.
 """
 
 from dataclasses import dataclass
@@ -37,15 +42,8 @@ def two_term(modules=(), shifted=()):
     return TwoTermObject(tuple(modules), tuple(shifted))
 
 
-def _hom_to_tau(cat, x, y):
-    """dim Hom(X, tau Y), with tau(projective) = 0."""
-    if cat.is_projective(y):
-        return 0
-    return cat.hom_dim(x, cat.tau(y))
-
-
 def modules_compatible(cat, x, y):
-    return _hom_to_tau(cat, x, y) == 0 and _hom_to_tau(cat, y, x) == 0
+    return bool(cat.tau_orthogonal(x) >> y & 1 and cat.tau_orthogonal(y) >> x & 1)
 
 
 def module_shift_compatible(cat, x, v):
@@ -54,19 +52,23 @@ def module_shift_compatible(cat, x, v):
 
 
 def is_presilting(s, cat):
-    """Pairwise vanishing of positive-shift homs, via the tau-rigidity test."""
-    mods = list(s.modules)
-    for i, x in enumerate(mods):
-        for y in mods[i:]:
-            if x == y:
-                if _hom_to_tau(cat, x, x) != 0:
-                    return False
-            elif not modules_compatible(cat, x, y):
-                return False
+    """Pairwise vanishing of positive-shift homs, via the tau-rigidity test.
+
+    The module part is tau-rigid when every module's row of the catalog's
+    tau-orthogonality table (filled lazily, one row per module) contains
+    all the modules of s; that covers both directions of each pair and
+    X = Y.
+    """
+    bits = 0
+    for x in s.modules:
+        bits |= 1 << x
+    for x in s.modules:
+        if bits & ~cat.tau_orthogonal(x):
+            return False
     for v in s.shifted:
         if cat.proj(v) in s.modules:
             return False
-        for x in mods:
+        for x in s.modules:
             if not module_shift_compatible(cat, x, v):
                 return False
     return True
@@ -122,12 +124,14 @@ class CompatibilityGraph:
     def node_object(self, bits):
         mods = []
         shifts = []
-        for i in range(self.size):
-            if bits >> i & 1:
-                if i < self.nmod:
-                    mods.append(i)
-                else:
-                    shifts.append(self.shift_vertices[i - self.nmod])
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            bits ^= low
+            if i < self.nmod:
+                mods.append(i)
+            else:
+                shifts.append(self.shift_vertices[i - self.nmod])
         return two_term(mods, shifts)
 
     def cliques_of_size(self, k, restrict=None):
@@ -139,7 +143,7 @@ class CompatibilityGraph:
             if count == k:
                 out.append(clique)
                 return
-            if count + bin(candidates).count("1") < k:
+            if count + candidates.bit_count() < k:
                 return
             cand = candidates
             while cand:
@@ -170,6 +174,9 @@ def enumerate_tilting_modules(cat, graph=None):
     graph = graph or CompatibilityGraph(cat, include_shifts=False)
     restrict = (1 << graph.nmod) - 1
     objs = [graph.node_object(bits) for bits in graph.cliques_of_size(n, restrict)]
+    for s in objs:
+        if not is_silting(s, cat):
+            raise AssertionError("clique enumeration produced a non-silting object")
     objs.sort(key=lambda s: s.modules)
     return objs
 

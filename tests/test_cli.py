@@ -115,6 +115,20 @@ def test_invariant_failure_names_the_silting_object(monkeypatch, capsys):
     assert "silting object P(1)[1] + P(2)[1] + P(3)[1] + P(4)[1]" in err
 
 
+def test_tables_failure_names_the_row(monkeypatch, capsys):
+    import silted.papertables
+
+    def broken(spec, m):
+        raise AssertionError("clique enumeration produced a non-silting object")
+
+    monkeypatch.setattr(silted.papertables, "tm_lambda_enumerated", broken)
+    code = run(["tables", "--enum-max", "4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-silting object" in err
+    assert "tm_lambda_enum" in err and "family d-linear" in err and "n=4" in err
+
+
 def test_realization_failure_names_the_silting_object(monkeypatch, capsys):
     import silted.census
 

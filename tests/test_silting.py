@@ -1,9 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 
-from silted.arcatalog import knit_catalog
-from silted.quivers import b_reversed_quiver, d_linear_quiver, line_quiver
+from silted.arcatalog import ARCatalog, knit_catalog
+from silted.quivers import b_reversed_quiver, d_linear_quiver, d_reversed_quiver, line_quiver
 from silted.silting import (
     CompatibilityGraph,
     completions,
@@ -15,6 +16,112 @@ from silted.silting import (
     silting_to_json,
     two_term,
 )
+
+
+def _tau_orthogonal_reference(cat, x, y):
+    """Hom(X, tau Y) = 0, tau of a projective read as 0, from hom_dim."""
+    return cat.is_projective(y) or cat.hom_dim(x, cat.tau(y)) == 0
+
+
+def _presilting_reference(cat, s):
+    """Pairwise presilting test of s, independent of the catalog's table."""
+    for x in s.modules:
+        for y in s.modules:
+            if not _tau_orthogonal_reference(cat, x, y):
+                return False
+    for v in s.shifted:
+        if cat.proj(v) in s.modules:
+            return False
+        if any(cat.indecs[x].dims[v] != 0 for x in s.modules):
+            return False
+    return True
+
+
+FIVE_VERTEX_QUIVERS = [d_linear_quiver(5), d_reversed_quiver(5), b_reversed_quiver(5)]
+
+
+@pytest.mark.parametrize("q", FIVE_VERTEX_QUIVERS, ids=["lambda5", "gamma5", "b5"])
+def test_tau_orthogonality_table_matches_pairwise_oracle(q):
+    cat = knit_catalog(q)
+    for x in range(len(cat)):
+        row = cat.tau_orthogonal(x)
+        assert row >> len(cat) == 0
+        for y in range(len(cat)):
+            assert bool(row >> y & 1) == _tau_orthogonal_reference(cat, x, y), (x, y)
+
+
+@pytest.mark.parametrize("q", FIVE_VERTEX_QUIVERS, ids=["lambda5", "gamma5", "b5"])
+def test_is_presilting_matches_pairwise_reference_on_random_subsets(q):
+    cat = knit_catalog(q)
+    n = len(cat.q.vertices)
+    rng = random.Random(20250905)
+    silts = enumerate_two_term_silting(cat)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        if rng.random() < 0.5:
+            # part of a silting object, sometimes with one summand added
+            base = rng.choice(silts)
+            mods = rng.sample(base.modules, rng.randint(0, len(base.modules)))
+            shifts = rng.sample(base.shifted, rng.randint(0, len(base.shifted)))
+            if rng.random() < 0.5:
+                if rng.random() < 0.5:
+                    mods = sorted(set(mods) | {rng.randrange(len(cat))})
+                else:
+                    shifts = sorted(set(shifts) | {rng.choice(cat.q.vertices)})
+        else:
+            mods = rng.sample(range(len(cat)), rng.randint(0, n))
+            shifts = rng.sample(list(cat.q.vertices), rng.randint(0, n - len(mods)))
+        s = two_term(mods, shifts)
+        want = _presilting_reference(cat, s)
+        assert is_presilting(s, cat) == want, s
+        seen[want] += 1
+    assert seen[True] > 50 and seen[False] > 50
+
+
+@pytest.mark.parametrize(
+    "q", [d_linear_quiver(6), d_reversed_quiver(6), b_reversed_quiver(6)],
+    ids=["lambda6", "gamma6", "b6"],
+)
+def test_enumeration_reads_hom_bases_at_most_once_per_pair(q, monkeypatch):
+    cat = knit_catalog(q)
+    calls = [0]
+    orig = ARCatalog.hom_basis
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return orig(self, x, y)
+
+    monkeypatch.setattr(ARCatalog, "hom_basis", counted)
+    enumerate_two_term_silting(cat)
+    assert 0 < calls[0] <= len(cat) ** 2
+
+
+def _graph_with_one_incompatible_clique(cat, include_shifts):
+    """A graph whose cliques also include one n-set that is not presilting."""
+    graph = CompatibilityGraph(cat, include_shifts=include_shifts)
+    n = len(cat.q.vertices)
+    bad = next(
+        c for c in combinations(range(len(cat)), n)
+        if not _presilting_reference(cat, two_term(c))
+    )
+    bits = sum(1 << x for x in bad)
+    real = graph.cliques_of_size
+    graph.cliques_of_size = lambda k, restrict=None: real(k, restrict) + [bits]
+    return graph
+
+
+def test_silting_enumeration_rejects_an_incompatible_clique():
+    cat = knit_catalog(d_linear_quiver(4))
+    graph = _graph_with_one_incompatible_clique(cat, include_shifts=True)
+    with pytest.raises(AssertionError, match="non-silting"):
+        enumerate_two_term_silting(cat, graph)
+
+
+def test_tilting_enumeration_rejects_an_incompatible_clique():
+    cat = knit_catalog(d_linear_quiver(4))
+    graph = _graph_with_one_incompatible_clique(cat, include_shifts=False)
+    with pytest.raises(AssertionError, match="non-silting"):
+        enumerate_tilting_modules(cat, graph)
 
 
 def test_all_projectives_and_all_shifts_are_silting():
@@ -66,7 +173,7 @@ def test_enumeration_against_subset_oracle_lambda4():
         mods = [x for (k, x) in combo if k == "m"]
         shifts = [v for (k, v) in combo if k == "s"]
         s = two_term(mods, shifts)
-        if is_presilting(s, cat):
+        if _presilting_reference(cat, s):
             oracle.add(s)
     enumerated = set(enumerate_two_term_silting(cat))
     assert enumerated == oracle
