@@ -17,7 +17,7 @@ the catalog takes two cover/kernel steps of the one resolution engine in
 dimensions of endomorphism algebras.
 """
 
-from .linalg import F0, F1, Mat, Subspace, nullspace, stack_rows
+from .linalg import F0, F1, Mat, Subspace, block_diag, nullspace, stack_rows
 from .quivers import BoundAlgebra, QuiverWithRelations, RepModule, arrow_path, expand, projective_cover
 
 
@@ -235,18 +235,12 @@ class ARCatalog:
                 raise AssertionError("mesh map is not injective; knitting is broken")
             comp = sp.complement_indices()
             z_dims[u] = len(comp)
-            pm = Mat(len(comp), amb[u])
-            for i in range(amb[u]):
-                e = [F0] * amb[u]
-                e[i] = F1
-                red = sp.reduce(e)
-                for r, j in enumerate(comp):
-                    pm.a[r][i] = red[j]
-            proj[u] = pm
+            units = [[F1 if j == i else F0 for j in range(amb[u])] for i in range(amb[u])]
+            proj[u] = Mat.from_columns([sp.quotient_coords(e) for e in units], len(comp))
             section_cols[u] = comp
         z_mats = {}
         for a in self.rq.arrows:
-            big = self._block_diag_arrow(targets, a)
+            big = block_diag([t.mats[a.id] for t in targets])
             sec = Mat(big.cols, z_dims[a.src])
             for c, pos in enumerate(section_cols[a.src]):
                 sec.a[pos][c] = F1
@@ -282,20 +276,6 @@ class ARCatalog:
                 maps[u] = m
             self.arrows_out[tid].append((z, maps))
         return z
-
-    def _block_diag_arrow(self, targets, a):
-        rows = sum(t.dims[a.tgt] for t in targets)
-        cols = sum(t.dims[a.src] for t in targets)
-        m = Mat(rows, cols)
-        r0 = c0 = 0
-        for t in targets:
-            blk = t.mats[a.id]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    m.a[r0 + i][c0 + j] = blk.a[i][j]
-            r0 += blk.rows
-            c0 += blk.cols
-        return m
 
     # ---- hom spaces -----------------------------------------------------
 

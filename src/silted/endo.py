@@ -28,12 +28,12 @@ table: the evaluation map, the kernels and the relation terms are indexed
 by it, and the presented algebra is bound over the same table
 (`with_relations`), so the audit does not enumerate the paths again.
 Every linear solve (hom-space coordinates, cover and syzygy lifts) is
-`linalg.solve`, and the ms spaces are cokernels of the catalog's
-`restriction_image`.
+`linalg.solve`, and the spaces Hom(M, P(v)[1]) are cokernels of the
+catalog's `restriction_image`.
 """
 
 from .linalg import F0, F1, Mat, Subspace, nullspace, solve
-from .quivers import Arrow, Quiver, QuiverWithRelations, Relation, arrow_path, expand
+from .quivers import Arrow, Quiver, QuiverWithRelations, Relation, expand
 
 
 MOD = "m"
@@ -41,15 +41,22 @@ SHIFT = "s"
 
 
 class HomSpace:
-    """One Hom(X, Y) with a fixed canonical basis and coordinatization."""
+    """One Hom(X, Y) as a fixed basis, with dim = len(basis).
 
-    def __init__(self, kind, dim, data):
-        self.kind = kind  # "mm" | "ms" | "ss" | "sm"
-        self.dim = dim
-        self.data = data
+    Hom(M, P(v)[1]) carries `sub`, the restriction image it is the quotient
+    of: its basis is the unit vectors at the canonical complement of `sub`
+    and coordinates are quotient coordinates.  Every other space is one of
+    module maps (Hom(P(v)[1], P(w)[1]) = Hom(P(v), P(w)), and
+    Hom(P(v)[1], M) = 0), whose coordinates are solved for in its basis.
+    """
+
+    def __init__(self, basis, sub=None):
+        self._basis = basis
+        self.sub = sub
+        self.dim = len(basis)
 
     def basis(self):
-        return self.data["basis"] if self.data else []
+        return self._basis
 
 
 class TwoTermHomCalc:
@@ -67,19 +74,15 @@ class TwoTermHomCalc:
         if key in self._space_cache:
             return self._space_cache[key]
         if src[0] == MOD and tgt[0] == MOD:
-            sp = self._mm_space(src[1], tgt[1])
+            sp = HomSpace(self.cat.hom_basis(src[1], tgt[1]))
         elif src[0] == MOD and tgt[0] == SHIFT:
             sp = self._ms_space(src[1], tgt[1])
         elif src[0] == SHIFT and tgt[0] == SHIFT:
-            sp = self._mm_space(self.cat.proj(src[1]), self.cat.proj(tgt[1]), kind="ss")
+            sp = HomSpace(self.cat.hom_basis(self.cat.proj(src[1]), self.cat.proj(tgt[1])))
         else:
-            sp = HomSpace("sm", 0, None)
+            sp = HomSpace([])
         self._space_cache[key] = sp
         return sp
-
-    def _mm_space(self, x, y, kind="mm"):
-        basis = self.cat.hom_basis(x, y)
-        return HomSpace(kind, len(basis), {"basis": basis})
 
     def _ms_space(self, x, v):
         sub = self.cat.restriction_image(x, self.cat.proj(v))
@@ -88,18 +91,16 @@ class TwoTermHomCalc:
             e = [F0] * sub.ambient
             e[j] = F1
             reps.append(e)
-        return HomSpace("ms", sub.ambient - sub.dim, {"sub": sub, "basis": reps})
+        return HomSpace(reps, sub)
 
     # ---- coordinates ----------------------------------------------------
 
     def coords(self, space, concrete):
-        if space.kind == "sm":
-            return []
-        if space.kind == "ms":
-            return space.data["sub"].quotient_coords(concrete)
-        # module-style spaces; only the zero map lies in a zero space
+        if space.sub is not None:
+            return space.sub.quotient_coords(concrete)
+        # module maps; only the zero map lies in a zero space
         vec = self._flatten_mm(concrete)
-        cols = [self._flatten_mm(b) for b in space.data["basis"]]
+        cols = [self._flatten_mm(b) for b in space.basis()]
         out = solve(Mat.from_columns(cols, len(vec)), vec)
         if out is None:
             raise AssertionError("map does not lie in its hom space")
@@ -303,22 +304,13 @@ def end_algebra(silt, cat, calc=None):
         if not kvecs:
             continue
         plist = free.paths(u, v)
-        pindex = free.path_index(u, v)
         boundary = Subspace(len(plist))
         for a in gq.out_arrows[u]:
             for kv in kernels.get((a.tgt, v), []):
-                vec = [F0] * len(plist)
-                for c, p in zip(kv, free.paths(a.tgt, v)):
-                    if c != 0:
-                        vec[pindex[arrow_path(a).then(p)]] += c
-                boundary.add(vec)
+                boundary.add(free.arrow_product(kv, a.tgt, v, a, left=True))
         for a in gq.in_arrows[v]:
             for kv in kernels.get((u, a.src), []):
-                vec = [F0] * len(plist)
-                for c, p in zip(kv, free.paths(u, a.src)):
-                    if c != 0:
-                        vec[pindex[p.then(arrow_path(a))]] += c
-                boundary.add(vec)
+                boundary.add(free.arrow_product(kv, u, a.src, a, left=False))
         for kv in kvecs:
             if boundary.add(kv):
                 relations.append(Relation(tuple((c, p) for c, p in zip(kv, plist) if c != 0)))

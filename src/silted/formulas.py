@@ -52,22 +52,17 @@ def tm_a(n, m):
 
 
 @lru_cache(maxsize=None)
-def tm_lambda_parts(n, m):
+def tm_lambda(n, m):
+    """Survival count over the linear D_n algebra (fork vertices identified)."""
     if n < 4 or m < 1:
         raise ValueError("tm_lambda needs n >= 4, m >= 1")
+    if m >= n - 1:
+        return 1 if m == n - 2 else 0
     p1 = sum(delta(n - 1, i) * max(n - m - i, 0) for i in range(1, n - 1))
     p2 = sum(delta(n - 1, i) * max(n - m - 1 - i, 0) for i in range(1, n - 2))
     p3 = sum(t_a(n - j) * tm_lambda(j, m + 1) for j in range(4, n))
     p4 = sum(t_a(n - j - 1) * tm_a(j, m + 1) for j in range(3, n - 1))
-    return (p1, p2, p3, p4)
-
-
-@lru_cache(maxsize=None)
-def tm_lambda(n, m):
-    """Survival count over the linear D_n algebra (fork vertices identified)."""
-    if m >= n - 1:
-        return 1 if m == n - 2 else 0
-    return sum(tm_lambda_parts(n, m))
+    return p1 + p2 + p3 + p4
 
 
 @lru_cache(maxsize=None)

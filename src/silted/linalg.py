@@ -12,7 +12,8 @@ Rational systems are solved by `solve`, which reads the solution off the
 canonical kernel of the augmented matrix, so one elimination routine
 (`Subspace.add`) serves reduction, kernels and solves alike.
 `integer_solve` is the separate integer-solution routine for exponent
-systems.
+systems; it also solves them modulo 2, as E x + 2 y = s.  `block_diag`
+is the one builder of block-diagonal matrices.
 """
 
 from fractions import Fraction
@@ -99,6 +100,19 @@ def stack_rows(mats, cols):
         for i in range(m.rows):
             out.a[r] = list(m.a[i])
             r += 1
+    return out
+
+
+def block_diag(blocks):
+    """The matrix with `blocks` down its diagonal, in order, zero elsewhere;
+    a block with no rows or no columns still shifts the blocks after it."""
+    out = Mat(sum(b.rows for b in blocks), sum(b.cols for b in blocks))
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b.a):
+            out.a[r0 + i][c0:c0 + b.cols] = row
+        r0 += b.rows
+        c0 += b.cols
     return out
 
 
@@ -227,7 +241,8 @@ def integer_solve(emat, b):
     Column Hermite reduction E * U = H with H in column echelon form; the
     non-pivot columns of H vanish, so forward substitution with zero free
     variables is complete.  Sized for the small exponent systems that
-    arise when matching relation ideals up to arrow rescaling.
+    arise when matching relation ideals up to arrow rescaling; their sign
+    part E x = s (mod 2) is the integer system [E | 2I] (x, y) = s.
     """
     m = len(emat)
     n = len(emat[0]) if emat else 0

@@ -8,6 +8,8 @@ enumeration and the closed forms are listed as documented exceptions and
 do not fail the report.
 """
 
+import csv
+import io
 from contextlib import contextmanager
 
 from . import formulas as F
@@ -65,6 +67,21 @@ DOCUMENTED_EXCEPTIONS = {
         "gives 3 (and the total 4 + 3 = 7 tilted classes is agreed)"
     ),
 }
+
+# the linear A tilting counts are enumerated up to this rank
+ENUM_MAX_A = 6
+
+# (quantity, family, census summary attribute, closed form) of the rows
+# that compare a D census count with its closed form, in report order
+SUMMARY_ROWS = (
+    ("a_ht_lambda", "d-linear", "a_ht", F.a_ht_lambda),
+    ("a_nht_lambda", "d-linear", "a_nht", F.a_nht_lambda),
+    ("a_t_lambda", "d-linear", "a_t", F.a_t_lambda),
+    ("a_s_lambda", "d-linear", "a_s", F.a_s_lambda),
+    ("a_ss_lambda", "d-linear", "a_ss", F.a_ss_lambda),
+    ("a_s_gamma", "d-reversed", "a_s", F.a_s_gamma),
+    ("a_ss_gamma", "d-reversed", "a_ss", F.a_ss_gamma),
+)
 
 
 @contextmanager
@@ -131,42 +148,37 @@ class TableReport:
         return "\n".join(lines)
 
     def to_csv(self):
-        lines = ["quantity,key,enumeration,formula,reference,status"]
+        """One CSV row per entry; a field holding a comma, such as a list or
+        a tuple key, is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        fields = ("quantity", "key", "enumeration", "formula", "reference", "status")
+        writer.writerow(fields)
         for e in self.entries:
-            lines.append(
-                ",".join(
-                    str(x if x is not None else "")
-                    for x in (
-                        e["quantity"],
-                        e["key"],
-                        e["enumeration"],
-                        e["formula"],
-                        e["reference"],
-                        e["status"],
-                    )
-                )
-            )
-        return "\n".join(lines)
+            writer.writerow([e[f] for f in fields])
+        return out.getvalue()[:-1]
 
 
-def verify_tables(enum_max_d=5, enum_max_a=6, deep_ss=False):
+def verify_tables(enum_max_d=5, deep_ss=False):
     """Three-way comparison: enumeration vs formula vs reference values.
 
     enum_max_d bounds the rank up to which the D-family censuses are run;
-    enum_max_a does the same for the linear A tilting counts.  deep_ss
-    additionally enumerates the strictly shod census at rank 7.
+    the linear A tilting counts are enumerated up to rank ENUM_MAX_A.  A
+    SUMMARY_ROWS row takes its enumeration from the census summary when
+    its rank was run, else leaves it empty.  deep_ss additionally
+    enumerates the strictly shod census at rank 7.
     """
     rep = TableReport()
     for n, ref in REFERENCE["t_a"].items():
         enum = None
-        if n <= enum_max_a:
+        if n <= ENUM_MAX_A:
             spec = AlgebraSpec("a", n)
             with _naming_row("t_a", spec):
                 enum = len(enumerate_tilting_modules(get_catalog(spec)))
         rep.add("t_a", n, enum=enum, formula=F.t_a(n), reference=ref)
     for n, ref in REFERENCE["delta"].items():
         enum = None
-        if n <= enum_max_a:
+        if n <= ENUM_MAX_A:
             spec = AlgebraSpec("a", n)
             with _naming_row("delta_row", spec):
                 enum = delta_enumerated(spec)
@@ -188,31 +200,14 @@ def verify_tables(enum_max_d=5, enum_max_a=6, deep_ss=False):
         _, summaries[("d-linear", n)] = classify_family(AlgebraSpec("d-linear", n))
         _, summaries[("d-reversed", n)] = classify_family(AlgebraSpec("d-reversed", n))
 
-    for n, ref in REFERENCE["a_ht_lambda"].items():
-        enum = summaries.get(("d-linear", n)).a_ht if ("d-linear", n) in summaries else None
-        rep.add("a_ht_lambda", n, enum=enum, formula=F.a_ht_lambda(n), reference=ref)
-    for n, ref in REFERENCE["a_nht_lambda"].items():
-        enum = summaries.get(("d-linear", n)).a_nht if ("d-linear", n) in summaries else None
-        rep.add("a_nht_lambda", n, enum=enum, formula=F.a_nht_lambda(n), reference=ref)
-    for n, ref in REFERENCE["a_t_lambda"].items():
-        enum = summaries.get(("d-linear", n)).a_t if ("d-linear", n) in summaries else None
-        rep.add("a_t_lambda", n, enum=enum, formula=F.a_t_lambda(n), reference=ref)
-    for n, ref in REFERENCE["a_s_lambda"].items():
-        enum = summaries.get(("d-linear", n)).a_s if ("d-linear", n) in summaries else None
-        rep.add("a_s_lambda", n, enum=enum, formula=F.a_s_lambda(n), reference=ref)
-    for n, ref in REFERENCE["a_ss_lambda"].items():
-        enum = None
-        if n <= enum_max_d:
-            enum = summaries[("d-linear", n)].a_ss
-        elif n == 7 and deep_ss:
-            _, enum = strictly_shod_census(AlgebraSpec("d-linear", n))
-        rep.add("a_ss_lambda", n, enum=enum, formula=F.a_ss_lambda(n), reference=ref)
-    for n, ref in REFERENCE["a_s_gamma"].items():
-        enum = summaries.get(("d-reversed", n)).a_s if ("d-reversed", n) in summaries else None
-        rep.add("a_s_gamma", n, enum=enum, formula=F.a_s_gamma(n), reference=ref)
-    for n, ref in REFERENCE["a_ss_gamma"].items():
-        enum = summaries.get(("d-reversed", n)).a_ss if ("d-reversed", n) in summaries else None
-        rep.add("a_ss_gamma", n, enum=enum, formula=F.a_ss_gamma(n), reference=ref)
+    for quantity, family, attr, closed in SUMMARY_ROWS:
+        for n, ref in REFERENCE[quantity].items():
+            enum = None
+            if (family, n) in summaries:
+                enum = getattr(summaries[(family, n)], attr)
+            elif quantity == "a_ss_lambda" and n == 7 and deep_ss:
+                _, enum = strictly_shod_census(AlgebraSpec(family, n))
+            rep.add(quantity, n, enum=enum, formula=closed(n), reference=ref)
     for n, parts in REFERENCE["c_parts"].items():
         for i, ref in sorted(parts.items()):
             rep.add("c_part", (n, i), formula=F.c_part(n, i), reference=ref)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .linalg import F0, F1, Mat, Subspace, kernel, nullspace
+from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel, nullspace
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,18 @@ class QuiverWithRelations:
             vec[idx[p]] += c
         return vec
 
+    def arrow_product(self, vec, u, v, a, left):
+        """The product a.x (left) or x.a of the arrow a with x = vec over the
+        paths u -> v, as a vector over the paths of the product."""
+        ap = arrow_path(a)
+        src, tgt = (a.src, v) if left else (u, a.tgt)
+        idx = self.path_index(src, tgt)
+        out = [F0] * len(idx)
+        for x, p in zip(vec, self.paths(u, v)):
+            if x != 0:
+                out[idx[ap.then(p) if left else p.then(ap)]] += x
+        return out
+
     def ideal_spans(self):
         """Per (u,v) pair, the subspace of the path space spanned by the ideal."""
         if self._ideal is not None:
@@ -244,27 +256,14 @@ class QuiverWithRelations:
         while todo:
             (u, v) = todo.pop()
             base = spans[(u, v)].basis()
-            plist = self.paths(u, v)
             for a in self.quiver.in_arrows[u]:
-                w = a.src
-                tgt_idx = self.path_index(w, v)
                 for row in base:
-                    vec = [F0] * len(self.paths(w, v))
-                    for x, p in zip(row, plist):
-                        if x != 0:
-                            vec[tgt_idx[arrow_path(a).then(p)]] += x
-                    if spans[(w, v)].add(vec):
-                        todo.append((w, v))
+                    if spans[(a.src, v)].add(self.arrow_product(row, u, v, a, left=True)):
+                        todo.append((a.src, v))
             for a in self.quiver.out_arrows[v]:
-                w = a.tgt
-                tgt_idx = self.path_index(u, w)
                 for row in base:
-                    vec = [F0] * len(self.paths(u, w))
-                    for x, p in zip(row, plist):
-                        if x != 0:
-                            vec[tgt_idx[p.then(arrow_path(a))]] += x
-                    if spans[(u, w)].add(vec):
-                        todo.append((u, w))
+                    if spans[(u, a.tgt)].add(self.arrow_product(row, u, v, a, left=False)):
+                        todo.append((u, a.tgt))
         self._ideal = spans
         return spans
 
@@ -468,14 +467,13 @@ class BoundAlgebra:
             raise ValueError("global dimension machinery requires an acyclic quiver")
         self.qwr = qwr
         self.q = qwr.quiver
-        spans = qwr.ideal_spans()
-        self.basis = {}       # (u,v) -> list of representative paths
-        for u in self.q.vertices:
-            for v in self.q.vertices:
-                plist = qwr.paths(u, v)
-                if not plist:
-                    continue
-                self.basis[(u, v)] = [plist[j] for j in spans[(u, v)].complement_indices()]
+        # (u,v) -> list of representative paths
+        self.basis = {
+            (u, v): paths_between(qwr, u, v)
+            for u in self.q.vertices
+            for v in self.q.vertices
+            if qwr.paths(u, v)
+        }
         self._projectives = {}
 
     def reduce_path(self, path):
@@ -587,17 +585,7 @@ def projective_cover(alg, mod):
         offsets.append(dict(P_dims))
         for u in q.vertices:
             P_dims[u] += alg.projective(v).dims[u]
-    P_mats = {}
-    for a in q.arrows:
-        m = Mat(P_dims[a.tgt], P_dims[a.src])
-        for v, offs in zip(slots, offsets):
-            blk = alg.projective(v).mats[a.id]
-            r0, c0 = offs[a.tgt], offs[a.src]
-            for i in range(blk.rows):
-                row = m.a[r0 + i]
-                for j, x in enumerate(blk.a[i]):
-                    row[c0 + j] = x
-        P_mats[a.id] = m
+    P_mats = {a.id: block_diag([alg.projective(v).mats[a.id] for v in slots]) for a in q.arrows}
     P = RepModule(q, P_dims, P_mats)
     # the nullspace basis is the identity on the free columns, so a kernel
     # vector's coordinates are its entries there
@@ -1001,67 +989,39 @@ def _factor_small(n):
 
 
 def _solve_rescaling(arrow_ids, constraints):
-    """Weights w_alpha in Q* with prod w^e = ratio per constraint, or None."""
-    from .linalg import integer_solve
+    """Weights w_alpha in Q* with prod w^e = ratio per constraint, or None.
 
+    Q* is {+-1} x (sum over primes p of Z), so the constraints split into
+    one integer system per part: the sign part E x = s (mod 2), solved as
+    [E | 2I] (x, y) = s, and E x = v_p(ratio) for each prime p.
+    """
+    weights = {aid: F1 for aid in arrow_ids}
     if not constraints:
-        return {aid: F1 for aid in arrow_ids}
+        return weights
     emat = [c[0] for c in constraints]
-    # sign part over F_2
-    signs = [0 if c[1] > 0 else 1 for c in constraints]
-    sign_sol = _f2_solve([[e % 2 for e in row] for row in emat], signs)
-    if sign_sol is None:
+    # the sign part: one slack column 2 e_i per constraint
+    sign_mat = [row + [2 if i == j else 0 for j in range(len(emat))] for i, row in enumerate(emat)]
+    sol = integer_solve(sign_mat, [0 if ratio > 0 else 1 for _, ratio in constraints])
+    if sol is None:
         return None
-    # one integer system per prime
+    for aid, x in zip(arrow_ids, sol):
+        if x % 2:
+            weights[aid] = -1
     primes = set()
     for _, ratio in constraints:
         primes.update(_factor_small(ratio.numerator))
         primes.update(_factor_small(ratio.denominator))
-    exps_by_prime = {}
     for p in sorted(primes):
-        target = []
-        for _, ratio in constraints:
-            target.append(
-                _factor_small(ratio.numerator).get(p, 0)
-                - _factor_small(ratio.denominator).get(p, 0)
-            )
+        target = [
+            _factor_small(ratio.numerator).get(p, 0) - _factor_small(ratio.denominator).get(p, 0)
+            for _, ratio in constraints
+        ]
         sol = integer_solve(emat, target)
         if sol is None:
             return None
-        exps_by_prime[p] = sol
-    weights = {}
-    for i, aid in enumerate(arrow_ids):
-        w = -1 if sign_sol[i] else 1
-        for p, sol in exps_by_prime.items():
-            w *= Fraction(p) ** sol[i]
-        weights[aid] = w
+        for aid, x in zip(arrow_ids, sol):
+            weights[aid] *= Fraction(p) ** x
     return weights
-
-
-def _f2_solve(rows, b):
-    """One solution of rows * x = b over F_2, or None."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [list(r) + [bb] for r, bb in zip(rows, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                aug[i] = [(x + y) % 2 for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    x = [0] * n
-    for (i, c) in pivots:
-        x[c] = aug[i][n]
-    for i in range(m):
-        if sum(rows[i][j] * x[j] for j in range(n)) % 2 != b[i] % 2:
-            return None
-    return x
 
 
 # ---- serialization --------------------------------------------------------

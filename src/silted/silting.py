@@ -10,6 +10,9 @@ Module compatibilities are read off the catalog's tau-orthogonality table
 (`ARCatalog.tau_orthogonal`): one bitset per module x of the y with
 Hom(X, tau Y) = 0, filled lazily one row per module.  The compatibility
 graph, `modules_compatible` and `is_presilting` all read that table.
+
+Basic tilting modules are the silting objects without a shifted summand,
+so they come from the same enumerator run on the module-only graph.
 """
 
 from dataclasses import dataclass
@@ -134,9 +137,8 @@ class CompatibilityGraph:
                 shifts.append(self.shift_vertices[i - self.nmod])
         return two_term(mods, shifts)
 
-    def cliques_of_size(self, k, restrict=None):
+    def cliques_of_size(self, k):
         """All k-cliques (as bitsets), extended in ascending node order."""
-        full = (1 << self.size) - 1 if restrict is None else restrict
         out = []
 
         def extend(clique, count, candidates):
@@ -152,7 +154,7 @@ class CompatibilityGraph:
                 cand ^= low
                 extend(clique | low, count + 1, cand & self.adj[i])
 
-        extend(0, 0, full)
+        extend(0, 0, (1 << self.size) - 1)
         return out
 
 
@@ -169,16 +171,9 @@ def enumerate_two_term_silting(cat, graph=None):
 
 
 def enumerate_tilting_modules(cat, graph=None):
-    """Basic tilting modules = silting objects with empty shifted part."""
-    n = len(cat.q.vertices)
-    graph = graph or CompatibilityGraph(cat, include_shifts=False)
-    restrict = (1 << graph.nmod) - 1
-    objs = [graph.node_object(bits) for bits in graph.cliques_of_size(n, restrict)]
-    for s in objs:
-        if not is_silting(s, cat):
-            raise AssertionError("clique enumeration produced a non-silting object")
-    objs.sort(key=lambda s: s.modules)
-    return objs
+    """Basic tilting modules = silting objects with empty shifted part: the
+    silting enumerator on the graph without shifted vertices."""
+    return enumerate_two_term_silting(cat, graph or CompatibilityGraph(cat, include_shifts=False))
 
 
 def completions(cat, graph, s, removed):

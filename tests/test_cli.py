@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -181,6 +182,11 @@ GOLDEN_BYTES = {
         "realization --n 6 --orientation reversed",
         "166e2a7006ed8b24e0178286011a59d2f608085b91728c06c1900a31e9e44fe5",
     ),
+    # the one document with a_ss_lambda(7) enumerated (48), by --deep-ss
+    "tables-4-deep-ss-json": (
+        "tables --enum-max 4 --deep-ss --format json",
+        "00cde69e5f2ea449b85cf752e1b42353da46b5fa44965c41074b2580ea07faa2",
+    ),
 }
 
 
@@ -190,6 +196,17 @@ def test_classify_golden_bytes(name):
     code, out = capture(argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_tables_csv_rows_parse_to_the_header_fields():
+    code, out = capture(["tables", "--enum-max", "3", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["quantity", "key", "enumeration", "formula", "reference", "status"]
+    assert all(len(row) == 6 for row in rows)
+    by_key = {(row[0], row[1]): row for row in rows[1:]}
+    assert by_key[("delta_row", "3")][2] == "[1, 2, 2]"
+    assert ("tm_a", "(3, 1)") in by_key
 
 
 def test_console_entry_point():

@@ -140,7 +140,7 @@ def test_shift_composition_kills_syzygy_maps(q, expected_cases):
             for w in cat.q.vertices:
                 tgt = (SHIFT, w)
                 out = calc.space(src, tgt)
-                for vec in sp.data["sub"].basis():
+                for vec in sp.sub.basis():
                     for g in calc.space(mid, tgt).basis():
                         comp = calc.compose(src, mid, tgt, vec, g)
                         assert all(x == 0 for x in calc.coords(out, comp))

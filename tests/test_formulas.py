@@ -1,6 +1,7 @@
 import pytest
 
 from silted import formulas as F
+from silted.cli import run
 from silted.arcatalog import knit_catalog
 from silted.quivers import d_linear_quiver
 from silted.silting import enumerate_tilting_modules
@@ -44,8 +45,11 @@ def test_tm_vanishes_beyond_orbit():
 
 
 def test_tm_errors():
-    with pytest.raises(ValueError):
-        F.tm_lambda(3, 1)
+    # (2, 1), (3, 2) and (1, 0) would otherwise meet the m >= n - 1 shortcut
+    for n, m in [(3, 1), (2, 1), (3, 2), (1, 0)]:
+        with pytest.raises(ValueError):
+            F.tm_lambda(n, m)
+        assert run(["count", "tm_lambda", "--n", str(n), "--m", str(m)]) == 1
     with pytest.raises(ValueError):
         F.tm_a(4, 0)
 

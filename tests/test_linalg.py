@@ -8,6 +8,7 @@ from silted.linalg import (
     F1,
     Mat,
     Subspace,
+    block_diag,
     integer_solve,
     kernel,
     nullspace,
@@ -94,6 +95,26 @@ def test_stack_rows():
     b = Mat(2, 2, [[3, 4], [5, 6]])
     s = stack_rows([a, b], 2)
     assert s.rows == 3 and s.column(0) == [fr(1), fr(3), fr(5)]
+
+
+def test_block_diag_matches_entrywise_reference():
+    rng = random.Random(3)
+    shapes = [(2, 3), (0, 2), (1, 0), (0, 0), (3, 1), (2, 2)]
+    blocks = [
+        Mat(r, c, [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]) for r, c in shapes
+    ]
+    # the block holding each row and each column, and its offset there
+    row_of, col_of = [], []
+    for k, b in enumerate(blocks):
+        row_of += [(k, i) for i in range(b.rows)]
+        col_of += [(k, j) for j in range(b.cols)]
+    out = block_diag(blocks)
+    assert (out.rows, out.cols) == (len(row_of), len(col_of)) == (8, 8)
+    for r, (k, i) in enumerate(row_of):
+        for c, (kk, j) in enumerate(col_of):
+            assert out.a[r][c] == (blocks[k].a[i][j] if k == kk else 0)
+    assert block_diag([]) == Mat(0, 0)
+    assert block_diag([Mat(0, 2), Mat(3, 0)]) == Mat(3, 2)
 
 
 def test_integer_solve_needs_free_variable():

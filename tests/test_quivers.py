@@ -8,6 +8,7 @@ from silted.quivers import (
     _gldim_by_resolution,
     _gldim_from_words,
     _ideal_words,
+    _solve_rescaling,
     Path,
     Quiver,
     QuiverWithRelations,
@@ -306,6 +307,57 @@ def test_iso_up_to_arrow_rescaling():
     # int coefficients: rescaling ratios such as 2 and -3/2 stay exact
     assert are_isomorphic(square_qwr(coef=2), square_qwr(diff=True))
     assert are_isomorphic(square_qwr(coef=-3), square_qwr(coef=2))
+
+
+def test_solve_rescaling_hand_made_systems():
+    # w^2 = -1 has no sign, w^2 = 2 no 2-adic exponent
+    assert _solve_rescaling([1], [([2], Fraction(-1))]) is None
+    assert _solve_rescaling([1], [([2], Fraction(2))]) is None
+    assert _solve_rescaling([1], [([2], Fraction(4))])[1] in (2, -2)
+    # w1 w2 = -1 cannot hold with w1 = w2 = 1
+    pinned = [([1, 1], Fraction(-1)), ([1, 0], Fraction(1)), ([0, 1], Fraction(1))]
+    assert _solve_rescaling([1, 2], pinned) is None
+    assert _solve_rescaling([1, 2], []) == {1: 1, 2: 1}
+
+
+def test_solve_rescaling_weights_satisfy_every_constraint():
+    rng = random.Random(11)
+    for _ in range(30):
+        ids = [3, 5, 8, 9]
+        truth = {
+            aid: rng.choice([-1, 1]) * Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 7]))
+            for aid in ids
+        }
+        constraints = []
+        for _ in range(rng.randint(1, 4)):
+            exps = [rng.randint(-1, 1) for _ in ids]
+            ratio = Fraction(1)
+            for aid, e in zip(ids, exps):
+                ratio *= truth[aid] ** e
+            constraints.append((exps, ratio))
+        weights = _solve_rescaling(ids, constraints)
+        assert weights is not None
+        for exps, ratio in constraints:
+            got = Fraction(1)
+            for aid, e in zip(ids, exps):
+                got *= Fraction(weights[aid]) ** e
+            assert got == ratio
+
+
+def test_arrow_product_on_both_sides_of_a_commutativity_relation():
+    # the square 1 -> {2, 3} -> 4 with an arrow 0 -> 1 before it and 4 -> 5 after it
+    q = Quiver(
+        range(6),
+        [Arrow(1, 1, 2), Arrow(2, 1, 3), Arrow(3, 2, 4), Arrow(4, 3, 4), Arrow(5, 0, 1), Arrow(6, 4, 5)],
+    )
+    qwr = QuiverWithRelations(q, [Relation(((1, path(q, 1, 3)), (-1, path(q, 2, 4))))])
+    vec = qwr.relation_vector(qwr.relations[0])
+    left = qwr.arrow_product(vec, 1, 4, q.arrow_by_id[5], left=True)
+    right = qwr.arrow_product(vec, 1, 4, q.arrow_by_id[6], left=False)
+    assert left == qwr.relation_vector(Relation(((1, path(q, 5, 1, 3)), (-1, path(q, 5, 2, 4)))))
+    assert right == qwr.relation_vector(Relation(((1, path(q, 1, 3, 6)), (-1, path(q, 2, 4, 6)))))
+    spans = qwr.ideal_spans()
+    assert spans[(0, 4)].contains(left) and spans[(1, 5)].contains(right)
 
 
 def test_iso_square_vs_double_zero_differs():
