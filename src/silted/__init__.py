@@ -40,7 +40,6 @@ from .census import (
     classify_family,
     realization_complex,
     star_crosscheck,
-    strictly_shod_census,
 )
 from . import formulas
 

@@ -48,28 +48,14 @@ def _dynkin_root_count(q):
         stack.extend(und[v] - seen)
     if len(seen) != n:
         raise DynkinTypeError("quiver is not connected")
-    degs = sorted(len(und[v]) for v in q.vertices)
-    if degs and degs[-1] <= 2:
+    branch = [v for v in q.vertices if len(und[v]) > 2]
+    if not branch:
         return n * (n + 1) // 2  # type A
-    branch = [v for v in q.vertices if len(und[v]) == 3]
-    if len(branch) != 1 or degs[-1] > 3:
-        raise DynkinTypeError("not a quiver of type A or D")
-    b = branch[0]
-    leg_lengths = []
-    for start in und[b]:
-        length, prev, cur = 1, b, start
-        while True:
-            nbrs = [w for w in und[cur] if w != prev]
-            if not nbrs:
-                break
-            if len(nbrs) > 1:
-                raise DynkinTypeError("not a quiver of type A or D")
-            prev, cur = cur, nbrs[0]
-            length += 1
-        leg_lengths.append(length)
-    leg_lengths.sort()
-    if n >= 4 and leg_lengths[0] == 1 and leg_lengths[1] == 1:
-        return n * (n - 1)  # type D
+    # a tree whose one branch vertex has degree 3 is D_n when at least two
+    # of that vertex's neighbours are leaves
+    if len(branch) == 1 and len(und[branch[0]]) == 3:
+        if sum(len(und[w]) == 1 for w in und[branch[0]]) >= 2:
+            return n * (n - 1)  # type D
     raise DynkinTypeError("not a quiver of type A or D")
 
 
@@ -168,11 +154,14 @@ class ARCatalog:
                 self.indecs[idx].inj_vertex = self._inj_dims[key]
                 self._inj_id[self._inj_dims[key]] = idx
         # irreducible maps among projectives: P(j) includes into P(i) for each
-        # R-arrow a: i -> j (P(j) is the corresponding radical summand of P(i))
+        # R-arrow a: i -> j (P(j) is the corresponding radical summand of P(i)),
+        # sending the generator of P(j) to the path a of P(i)
         for a in self.rq.arrows:
-            self.arrows_out[self._proj_id[a.tgt]].append(
-                (self._proj_id[a.src], self._rad_inclusion(a))
-            )
+            P = self.alg.projective(a.src)
+            e_a = [F0] * P.dims[a.tgt]
+            e_a[self._rpaths.path_index(a.src, a.tgt)[arrow_path(a)]] = F1
+            incl = expand(self.alg, [a.tgt], [e_a], P)
+            self.arrows_out[self._proj_id[a.tgt]].append((self._proj_id[a.src], incl))
         for i in self.q.vertices:
             idx = self._proj_id[i]
             in_neighbors[idx] = [self._proj_id[a.tgt] for a in self.rq.out_arrows[i]]
@@ -200,19 +189,6 @@ class ARCatalog:
             )
         if len(self._inj_id) != len(self.q.vertices):
             raise AssertionError("knitting did not reach every injective")
-
-    def _rad_inclusion(self, a):
-        """The inclusion P(a.tgt) -> P(a.src) prepending the R-arrow a."""
-        i, j = a.src, a.tgt
-        maps = {}
-        for u in self.q.vertices:
-            src_paths = self._rpaths.paths(j, u)
-            tgt_index = self._rpaths.path_index(i, u)
-            m = Mat(len(self._rpaths.paths(i, u)), len(src_paths))
-            for col, p in enumerate(src_paths):
-                m.a[tgt_index[arrow_path(a).then(p)]][col] = F1
-            maps[u] = m
-        return maps
 
     def _mesh(self, x):
         """Knit tau^{-1}(x) as the cokernel of x -> (sum of mesh middles)."""

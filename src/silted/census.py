@@ -37,7 +37,6 @@ from .quivers import (
     qwr_to_json,
 )
 from .silting import (
-    enumerate_tilting_modules,
     enumerate_two_term_silting,
     is_silting,
     is_two_term_tilting,
@@ -318,15 +317,23 @@ def classify_record(cat, calc, s, spec, memo):
     )
 
 
-def classify_family(spec, n_cap=9):
-    """Full census: classification records plus aggregate summary."""
-    if spec.n > n_cap:
-        raise ValueError(f"n={spec.n} exceeds the enumeration cap {n_cap}")
+def census_records(spec):
+    """The one census loop: the record of each silting object of spec, in
+    enumeration order, classified against one component memo.  No record
+    is kept here; the consumer numbers their iso_class."""
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
-    silts = enumerate_two_term_silting(cat)
     memo = _ComponentMemo()
-    records = [classify_record(cat, calc, s, spec, memo) for s in silts]
+    for s in enumerate_two_term_silting(cat):
+        yield classify_record(cat, calc, s, spec, memo)
+
+
+def classify_family(spec, n_cap=9):
+    """Full census: the records of census_records, each with its
+    isomorphism class, plus the aggregate summary."""
+    if spec.n > n_cap:
+        raise ValueError(f"n={spec.n} exceeds the enumeration cap {n_cap}")
+    records = list(census_records(spec))
     classes = {}
     class_records = {}
     for rec in records:
@@ -350,7 +357,7 @@ def classify_family(spec, n_cap=9):
     summary = CensusSummary(
         family=spec.family,
         n=spec.n,
-        n_silting=len(silts),
+        n_silting=len(records),
         n_tilting=sum(1 for r in records if r.is_tilting_module),
         a_s=len(classes),
         a_t=len(tilt_classes),
@@ -361,32 +368,6 @@ def classify_family(spec, n_cap=9):
         overlaps=sorted(overlaps, key=lambda d: d["isoClass"]),
     )
     return records, summary
-
-
-def strictly_shod_census(spec):
-    """Records whose End has a gldim-3 component, with their classes.
-
-    Returns the (silting object, End, class index) triples and the class
-    count; classes are numbered by first occurrence among these records.
-    classify_record asserts on every record that each gldim-3 component
-    is a string algebra and, for the linear family, that the record has
-    the construction shape (one shifted fork vertex, the other fork
-    projective present, both wings occupied, an overlapping pair of zero
-    relations).
-    """
-    if spec.family not in ("d-linear", "d-reversed"):
-        raise ValueError("strictly shod census applies to the D families")
-    cat = get_catalog(spec)
-    calc = TwoTermHomCalc(cat)
-    memo = _ComponentMemo()
-    classes = {}
-    flagged = []
-    for s in enumerate_two_term_silting(cat):
-        rec = classify_record(cat, calc, s, spec, memo)
-        if rec.gldim == 3:
-            cls = classes.setdefault(_iso_key(rec.components), len(classes))
-            flagged.append((s, rec.end, cls))
-    return flagged, len(classes)
 
 
 # ---- survival counts up to the fork symmetry -------------------------------
@@ -412,21 +393,20 @@ def fork_orbit_count(cat, objs):
     return orbits
 
 
-def tm_lambda_enumerated(spec, m):
-    """Fork-orbit count of tilting modules surviving m inverse translates."""
-    cat = get_catalog(spec)
-    tilts = enumerate_tilting_modules(cat)
+def tm_lambda_enumerated(cat, tilts, m):
+    """Fork-orbit count of the tilting modules `tilts` over the D catalog
+    `cat` whose every summand survives m inverse translates."""
     surviving = [
         t for t in tilts if all(cat.tau_inv_iterated(x, m) is not None for x in t.modules)
     ]
     return fork_orbit_count(cat, surviving)
 
 
-def delta_enumerated(spec):
-    """Tilting modules of the linear A family grouped by rightmost slice."""
-    cat = get_catalog(spec)
+def delta_enumerated(cat, tilts):
+    """The tilting modules `tilts` of a linear A catalog `cat`, counted by
+    the slice of their rightmost summand."""
     out = [0] * len(cat.q.vertices)
-    for t in enumerate_tilting_modules(cat):
+    for t in tilts:
         out[max(cat.indecs[x].slice for x in t.modules)] += 1
     return out
 
@@ -468,12 +448,12 @@ def star_map(n):
     return gcat, lcat, star
 
 
-def star_crosscheck(n):
-    """Verify the star bijection between the two D-family silting sets."""
+def star_crosscheck(n, gamma_objs, lambda_objs):
+    """Verify that star maps the reversed-source silting objects
+    `gamma_objs` of rank n one to one onto the linear ones `lambda_objs`."""
     gcat, lcat, star = star_map(n)
     gspec = AlgebraSpec("d-reversed", n)
-    gs = enumerate_two_term_silting(gcat)
-    ls = set(enumerate_two_term_silting(lcat))
+    gs, ls = gamma_objs, set(lambda_objs)
     images = set()
     for s in gs:
         with _naming_object(gcat, gspec, s):

@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import formulas as F
 from .census import (
+    FAMILIES,
     AlgebraSpec,
     classify_family,
     realization_complex,
@@ -67,7 +68,7 @@ def _build_parser():
 
     def add_common(sp, family=True):
         if family:
-            sp.add_argument("--family", required=True, choices=["a", "d-linear", "d-reversed", "b"])
+            sp.add_argument("--family", required=True, choices=FAMILIES)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
 
@@ -87,8 +88,8 @@ def _build_parser():
 
     sp = sub.add_parser("tables", help="verification report")
     sp.add_argument("--format", choices=["json", "csv", "md"], default="md")
-    sp.add_argument("--enum-max", type=int, default=5)
-    sp.add_argument("--deep-ss", action="store_true")
+    sp.add_argument("--enum-max", type=int, default=5, help="highest rank of the D censuses")
+    sp.add_argument("--deep-ss", action="store_true", help="also enumerate a_ss_lambda(7)")
 
     sp = sub.add_parser("realization", help="the explicit realization complex")
     sp.add_argument("--n", type=int, required=True)

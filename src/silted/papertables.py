@@ -15,11 +15,12 @@ from contextlib import contextmanager
 from . import formulas as F
 from .census import (
     AlgebraSpec,
+    _iso_key,
+    census_records,
     classify_family,
     delta_enumerated,
     get_catalog,
     star_crosscheck,
-    strictly_shod_census,
     tm_lambda_enumerated,
 )
 from .silting import enumerate_tilting_modules
@@ -82,6 +83,9 @@ SUMMARY_ROWS = (
     ("a_s_gamma", "d-reversed", "a_s", F.a_s_gamma),
     ("a_ss_gamma", "d-reversed", "a_ss", F.a_ss_gamma),
 )
+
+# (quantity, the linear-census labels whose class counts it sums), in report order
+LABEL_ROWS = (("b247", ("B2", "B4", "B7")), ("b3", ("B3",)), ("b5", ("B5",)), ("b6", ("B6",)))
 
 
 @contextmanager
@@ -162,43 +166,50 @@ class TableReport:
 def verify_tables(enum_max_d=5, deep_ss=False):
     """Three-way comparison: enumeration vs formula vs reference values.
 
-    enum_max_d bounds the rank up to which the D-family censuses are run;
-    the linear A tilting counts are enumerated up to rank ENUM_MAX_A.  A
-    SUMMARY_ROWS row takes its enumeration from the census summary when
-    its rank was run, else leaves it empty.  deep_ss additionally
-    enumerates the strictly shod census at rank 7.
+    Each catalog is enumerated once.  The D censuses up to rank enum_max_d
+    run first and keep only their summaries, read by the SUMMARY_ROWS and
+    LABEL_ROWS rows, and their silting objects, read by the tm_lambda_enum
+    rows (those without a shifted summand) and the star_bijection rows; a
+    row whose rank was not run is left empty.  One A_n tilting list per
+    n <= ENUM_MAX_A serves t_a and delta_row.  deep_ss also counts a_ss of
+    the rank-7 linear census as its records stream, keeping none.
     """
+    summaries = {}
+    objects = {}
+    for n in range(4, enum_max_d + 1):
+        for family in ("d-linear", "d-reversed"):
+            records, summaries[(family, n)] = classify_family(AlgebraSpec(family, n))
+            objects[(family, n)] = [rec.silting for rec in records]
+
     rep = TableReport()
+    a_tilts = {}
     for n, ref in REFERENCE["t_a"].items():
         enum = None
         if n <= ENUM_MAX_A:
             spec = AlgebraSpec("a", n)
             with _naming_row("t_a", spec):
-                enum = len(enumerate_tilting_modules(get_catalog(spec)))
+                a_tilts[n] = enumerate_tilting_modules(get_catalog(spec))
+            enum = len(a_tilts[n])
         rep.add("t_a", n, enum=enum, formula=F.t_a(n), reference=ref)
     for n, ref in REFERENCE["delta"].items():
         enum = None
-        if n <= ENUM_MAX_A:
+        if n in a_tilts:
             spec = AlgebraSpec("a", n)
             with _naming_row("delta_row", spec):
-                enum = delta_enumerated(spec)
+                enum = delta_enumerated(get_catalog(spec), a_tilts[n])
         rep.add("delta_row", n, enum=enum, formula=F.delta_row(n), reference=ref)
     for (n, m), ref in sorted(REFERENCE["tm_a"].items()):
         rep.add("tm_a", (n, m), formula=F.tm_a(n, m), reference=ref)
     for (n, m), ref in sorted(REFERENCE["tm_lambda"].items()):
         rep.add("tm_lambda", (n, m), formula=F.tm_lambda(n, m), reference=ref)
-        if n <= enum_max_d:
+        if ("d-linear", n) in objects:
             spec = AlgebraSpec("d-linear", n)
+            tilts = [s for s in objects[("d-linear", n)] if not s.shifted]
             with _naming_row("tm_lambda_enum", spec):
-                enum = tm_lambda_enumerated(spec, m)
+                enum = tm_lambda_enumerated(get_catalog(spec), tilts, m)
             rep.add("tm_lambda_enum", (n, m), enum=enum, formula=F.tm_lambda(n, m))
     for n, ref in REFERENCE["a_nht_a"].items():
         rep.add("a_nht_a", n, formula=F.a_nht_a(n), reference=ref)
-
-    summaries = {}
-    for n in range(4, enum_max_d + 1):
-        _, summaries[("d-linear", n)] = classify_family(AlgebraSpec("d-linear", n))
-        _, summaries[("d-reversed", n)] = classify_family(AlgebraSpec("d-reversed", n))
 
     for quantity, family, attr, closed in SUMMARY_ROWS:
         for n, ref in REFERENCE[quantity].items():
@@ -206,7 +217,8 @@ def verify_tables(enum_max_d=5, deep_ss=False):
             if (family, n) in summaries:
                 enum = getattr(summaries[(family, n)], attr)
             elif quantity == "a_ss_lambda" and n == 7 and deep_ss:
-                _, enum = strictly_shod_census(AlgebraSpec(family, n))
+                records = census_records(AlgebraSpec(family, n))
+                enum = len({_iso_key(r.components) for r in records if r.gldim == 3})
             rep.add(quantity, n, enum=enum, formula=closed(n), reference=ref)
     for n, parts in REFERENCE["c_parts"].items():
         for i, ref in sorted(parts.items()):
@@ -215,24 +227,17 @@ def verify_tables(enum_max_d=5, deep_ss=False):
     # tilted algebras of the 3-vertex reversed line, enumerated
     _, bsum = classify_family(AlgebraSpec("b", 3))
     rep.add("a_t_b3", 3, enum=bsum.a_t, formula=F.A_T_B3, reference=REFERENCE["a_t_b3"])
-    for n, ref in REFERENCE["b247"].items():
-        enum = None
-        if ("d-linear", n) in summaries:
-            counts = summaries[("d-linear", n)].label_class_counts
-            enum = counts.get("B2", 0) + counts.get("B4", 0) + counts.get("B7", 0)
-            if n == 4:
-                # two of the n = 4 families overlap pairwise; the reference
-                # aggregate counts family membership before identification
-                enum = None
-        rep.add("b247", n, enum=enum, formula=F.b_part(n, "b247"), reference=ref)
-    for key in ("b3", "b5", "b6"):
+    for key, labels in LABEL_ROWS:
         for n, ref in REFERENCE[key].items():
             enum = None
-            if ("d-linear", n) in summaries:
-                enum = summaries[("d-linear", n)].label_class_counts.get(key.upper(), 0)
+            # b247 stays empty at n = 4: two of the n = 4 families overlap
+            # pairwise; the reference aggregate counts family membership
+            # before identification
+            if ("d-linear", n) in summaries and (key, n) != ("b247", 4):
+                counts = summaries[("d-linear", n)].label_class_counts
+                enum = sum(counts.get(lab, 0) for lab in labels)
             rep.add(key, n, enum=enum, formula=F.b_part(n, key), reference=ref)
-    if enum_max_d >= 4:
-        for n in range(4, min(enum_max_d, 5) + 1):
-            chk = star_crosscheck(n)
-            rep.add("star_bijection", n, enum=1 if chk["ok"] else 0, reference=1)
+    for n in range(4, min(enum_max_d, 5) + 1):
+        chk = star_crosscheck(n, objects[("d-reversed", n)], objects[("d-linear", n)])
+        rep.add("star_bijection", n, enum=1 if chk["ok"] else 0, reference=1)
     return rep

@@ -900,7 +900,7 @@ def are_isomorphic(a, b):
     return False
 
 
-def _sigma_path(b, vmap, amap, p):
+def _sigma_path(vmap, amap, p):
     return Path(vmap[p.source], vmap[p.target], tuple(amap[i] for i in p.arrows))
 
 
@@ -930,7 +930,7 @@ def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
                 rems = []
                 for p, _c in supp:
                     e = [F0] * nb
-                    e[idx_b[_sigma_path(b, vmap, amap, p)]] = F1
+                    e[idx_b[_sigma_path(vmap, amap, p)]] = F1
                     rems.append(span_b.reduce(e))
                 cond = Mat(nb, len(supp))
                 for t, rem in enumerate(rems):
@@ -944,10 +944,10 @@ def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
                     if any(k == 0 for k in kappa):
                         return False
                     p0, c0 = supp[0]
-                    sp0 = set(_sigma_path(b, vmap, amap, p0).arrows)
+                    sp0 = set(_sigma_path(vmap, amap, p0).arrows)
                     for t in range(1, len(supp)):
                         pt, ct = supp[t]
-                        spt = set(_sigma_path(b, vmap, amap, pt).arrows)
+                        spt = set(_sigma_path(vmap, amap, pt).arrows)
                         exps = [0] * len(arrow_ids)
                         for aid, i in arrow_pos.items():
                             bid = amap[aid]
@@ -967,7 +967,7 @@ def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
                     w = F1
                     for aid in p.arrows:
                         w *= weights[aid]
-                    vec[idx_b[_sigma_path(b, vmap, amap, p)]] += c * w
+                    vec[idx_b[_sigma_path(vmap, amap, p)]] += c * w
             if not span_b.contains(vec):
                 return False
     return True

@@ -176,7 +176,7 @@ def enumerate_tilting_modules(cat, graph=None):
     return enumerate_two_term_silting(cat, graph or CompatibilityGraph(cat, include_shifts=False))
 
 
-def completions(cat, graph, s, removed):
+def completions(cat, s, removed):
     """Silting completions of s minus one summand; used as a mutation check."""
     rest = [x for x in s.summands() if x != removed]
     keep_mods = [x for (k, x) in rest if k == "m"]

@@ -19,7 +19,6 @@ from silted.census import (
     get_catalog,
     realization_complex,
     star_crosscheck,
-    strictly_shod_census,
 )
 from silted.cli import run
 from silted.quivers import (
@@ -81,11 +80,11 @@ def test_criterion_3_silted_census_reversed_d():
 def test_criterion_4_strictly_shod():
     got = {}
     for n in (4, 5, 6, 7):
-        flagged, count = strictly_shod_census(AlgebraSpec("d-linear", n))
-        got[n] = count
-        cat = get_catalog(AlgebraSpec("d-linear", n))
-        # every flagged record: gldim exactly 3 and all gldim-3 components string
-        # (asserted by classify_record on every object; re-assert the totals here)
+        records, summary = classify_family(AlgebraSpec("d-linear", n))
+        got[n] = summary.a_ss
+        # classify_record asserts on every object that each gldim-3 component
+        # is a string algebra and each gldim-3 record has the B7 shape
+        assert all(rec.family_label == "B7" for rec in records if rec.gldim == 3)
     enum_ok = got == {4: 1, 5: 4, 6: 14, 7: 48}
     formula = [F.a_ss_lambda(n) for n in range(4, 10)]
     formula_ok = formula == [1, 4, 14, 48, 165, 572]
@@ -185,7 +184,13 @@ def test_criterion_6_property_suites():
             break
     details.append(f"effective-intersections(500)={ok_eff}")
     # star bijection, cardinality and pairwise matching
-    ok_star = all(star_crosscheck(n)["ok"] for n in (4, 5))
+    ok_star = True
+    for n in (4, 5):
+        gs, ls = (
+            enumerate_two_term_silting(get_catalog(AlgebraSpec(family, n)))
+            for family in ("d-reversed", "d-linear")
+        )
+        ok_star = ok_star and star_crosscheck(n, gs, ls)["ok"]
     details.append(f"star-bijection={ok_star}")
     ok = ok_ar and ok_brick and ok_gd and ok_eff and ok_star
     report(6, ok, ", ".join(details))

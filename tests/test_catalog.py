@@ -58,6 +58,52 @@ def test_rejects_non_dynkin():
         knit_catalog(cycle)
 
 
+def orientations(n, edges):
+    """Every quiver on vertices 1..n whose underlying graph has these edges."""
+    for bits in range(2 ** len(edges)):
+        arrows = [
+            Arrow(k + 1, *((v, u) if bits >> k & 1 else (u, v))) for k, (u, v) in enumerate(edges)
+        ]
+        yield Quiver(range(1, n + 1), arrows)
+
+
+def line_edges(n):
+    return [(i, i + 1) for i in range(1, n)]
+
+
+def fork_edges(n):
+    """D_n: the leaves 1 and 2 on the branch vertex 3, then the line 3..n."""
+    return [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)]
+
+
+def test_every_orientation_of_types_a_and_d_knits():
+    quivers = [(q, n * (n + 1) // 2) for n in range(1, 7) for q in orientations(n, line_edges(n))]
+    quivers += [(q, n * (n - 1)) for n in range(4, 8) for q in orientations(n, fork_edges(n))]
+    assert len(quivers) == 183
+    for q, roots in quivers:
+        assert len(knit_catalog(q)) == roots
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (6, line_edges(5) + [(3, 6)]),  # E_6
+        (7, line_edges(6) + [(3, 7)]),  # E_7
+        (8, line_edges(7) + [(3, 8)]),  # E_8
+        (5, [(1, 2), (1, 3), (1, 4), (1, 5)]),  # D~_4
+        (6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]),  # D~_5
+        (7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)]),  # E~_6
+        (3, [(1, 2), (2, 3), (3, 1)]),  # 3-cycle
+        (2, [(1, 2), (1, 2)]),  # Kronecker
+        (4, [(1, 2), (2, 3), (3, 1)]),  # disconnected: a 3-cycle and a point
+    ],
+)
+def test_rejects_quivers_off_types_a_and_d(n, edges):
+    for q in orientations(n, edges):
+        with pytest.raises(DynkinTypeError):
+            knit_catalog(q)
+
+
 # ---- the right-module convention on A_2 -------------------------------------
 
 

@@ -17,11 +17,10 @@ from silted.census import (
     records_to_json,
     star_crosscheck,
     star_map,
-    strictly_shod_census,
     tm_lambda_enumerated,
 )
 from silted.endo import TwoTermHomCalc, end_algebra
-from silted.papertables import TableReport
+from silted.papertables import TableReport, verify_tables
 from silted.quivers import (
     Arrow,
     Path,
@@ -39,7 +38,7 @@ from silted.quivers import (
     iso_fingerprint,
     qwr_to_json,
 )
-from silted.silting import enumerate_two_term_silting, is_silting
+from silted.silting import enumerate_tilting_modules, enumerate_two_term_silting, is_silting
 
 
 def test_spec_validation():
@@ -156,11 +155,10 @@ def test_component_classes_give_the_whole_end_partition(family):
 
 @pytest.mark.parametrize("family,n", [("d-linear", 5), ("d-reversed", 5), ("d-linear", 6)])
 def test_strictly_shod_class_count_is_a_ss(family, n):
-    spec = AlgebraSpec(family, n)
-    records, summary = classify_family(spec)
-    flagged, count = strictly_shod_census(spec)
-    assert count == summary.a_ss
-    assert [s for s, _ep, _cls in flagged] == [rec.silting for rec in records if rec.gldim == 3]
+    records, summary = classify_family(AlgebraSpec(family, n))
+    ss_classes = {rec.iso_class for rec in records if rec.gldim == 3}
+    assert len(ss_classes) == summary.a_ss
+    assert all(rec.gldim == 3 for rec in records if rec.iso_class in ss_classes)
 
 
 def square(signs):
@@ -204,16 +202,19 @@ def test_isomorphic_components_disagreeing_on_gldim_name_the_object(monkeypatch)
 
 
 def test_strictly_shod_census_lambda():
-    flagged, count = strictly_shod_census(AlgebraSpec("d-linear", 5))
-    assert count == 4
-    for s, ep, cls in flagged:
-        cat = get_catalog(AlgebraSpec("d-linear", 5))
-        assert lambda_family_label(cat, s) == "B7"
+    records, summary = classify_family(AlgebraSpec("d-linear", 5))
+    assert summary.a_ss == 4
+    cat = get_catalog(AlgebraSpec("d-linear", 5))
+    flagged = [rec for rec in records if rec.gldim == 3]
+    assert flagged
+    for rec in flagged:
+        assert rec.family_label == lambda_family_label(cat, rec.silting) == "B7"
 
 
 def test_strictly_shod_census_gamma():
-    flagged, count = strictly_shod_census(AlgebraSpec("d-reversed", 5))
-    assert count == 2
+    records, summary = classify_family(AlgebraSpec("d-reversed", 5))
+    assert summary.a_ss == 2
+    assert {rec.family_label for rec in records if rec.gldim == 3} == {"C14"}
 
 
 def test_gldim_resolved_once_per_presentation(monkeypatch):
@@ -333,15 +334,24 @@ def test_components_inherit_the_end_ideal():
                 assert (got.ambient, got.rows, got.pivots) == (span.ambient, span.rows, span.pivots)
 
 
+def d_silting_lists(n):
+    """The silting objects of the reversed-source and the linear D_n."""
+    return [
+        enumerate_two_term_silting(get_catalog(AlgebraSpec(family, n)))
+        for family in ("d-reversed", "d-linear")
+    ]
+
+
 def test_star_crosscheck_failure_names_the_object(monkeypatch):
     import silted.census
 
     def broken(s, cat):
         raise AssertionError("broken silting check")
 
+    gs, ls = d_silting_lists(4)
     monkeypatch.setattr(silted.census, "is_silting", broken)
     with pytest.raises(AssertionError, match=r"\(family d-reversed, n=4, silting object .+\)"):
-        star_crosscheck(4)
+        star_crosscheck(4, gs, ls)
 
 
 def test_strictly_shod_census_failure_names_the_object(monkeypatch):
@@ -349,7 +359,7 @@ def test_strictly_shod_census_failure_names_the_object(monkeypatch):
 
     monkeypatch.setattr(silted.census, "global_dimension", lambda qwr: 4)
     with pytest.raises(AssertionError, match=r"\(family d-reversed, n=4, silting object .+\)"):
-        strictly_shod_census(AlgebraSpec("d-reversed", 4))
+        classify_family(AlgebraSpec("d-reversed", 4))
 
 
 def test_tilted_of_linear_family_embeds_into_reversed_census():
@@ -369,16 +379,23 @@ def test_tilted_of_linear_family_embeds_into_reversed_census():
             assert any(are_isomorphic(qwr, g) for g in g_classes.values())
 
 
+def catalog_and_tilts(family, n):
+    cat = get_catalog(AlgebraSpec(family, n))
+    return cat, enumerate_tilting_modules(cat)
+
+
 def test_tm_lambda_enumerated_matches_reference():
-    assert tm_lambda_enumerated(AlgebraSpec("d-linear", 4), 1) == 5
-    assert tm_lambda_enumerated(AlgebraSpec("d-linear", 4), 2) == 1
-    assert tm_lambda_enumerated(AlgebraSpec("d-linear", 4), 3) == 0
-    assert tm_lambda_enumerated(AlgebraSpec("d-linear", 5), 1) == 21
-    assert tm_lambda_enumerated(AlgebraSpec("d-linear", 5), 2) == 6
+    cat4, tilts4 = catalog_and_tilts("d-linear", 4)
+    cat5, tilts5 = catalog_and_tilts("d-linear", 5)
+    assert tm_lambda_enumerated(cat4, tilts4, 1) == 5
+    assert tm_lambda_enumerated(cat4, tilts4, 2) == 1
+    assert tm_lambda_enumerated(cat4, tilts4, 3) == 0
+    assert tm_lambda_enumerated(cat5, tilts5, 1) == 21
+    assert tm_lambda_enumerated(cat5, tilts5, 2) == 6
 
 
 def test_tm_lambda_6_1_gap_is_documented():
-    enum = tm_lambda_enumerated(AlgebraSpec("d-linear", 6), 1)
+    enum = tm_lambda_enumerated(*catalog_and_tilts("d-linear", 6), 1)
     assert (enum, F.tm_lambda(6, 1)) == (84, 83)
     rep = TableReport()
     rep.add("tm_lambda_enum", (6, 1), enum=enum, formula=F.tm_lambda(6, 1))
@@ -387,15 +404,34 @@ def test_tm_lambda_6_1_gap_is_documented():
 
 
 def test_delta_enumerated():
-    assert delta_enumerated(AlgebraSpec("a", 4)) == [1, 3, 5, 5]
-    assert delta_enumerated(AlgebraSpec("a", 5)) == [1, 4, 9, 14, 14]
+    assert delta_enumerated(*catalog_and_tilts("a", 4)) == [1, 3, 5, 5]
+    assert delta_enumerated(*catalog_and_tilts("a", 5)) == [1, 4, 9, 14, 14]
 
 
 def test_star_bijection():
     for n in (4, 5):
-        chk = star_crosscheck(n)
+        chk = star_crosscheck(n, *d_silting_lists(n))
         assert chk["ok"]
         assert chk["gammaCount"] == chk["lambdaCount"] == chk["matched"]
+
+
+def test_tables_report_enumerates_each_catalog_once(monkeypatch):
+    """Every row reads the census or enumeration the report already ran:
+    A_1-A_6 tilting, the four D censuses of ranks 4 and 5, and B_3."""
+    import silted.census
+    import silted.silting
+
+    calls = []
+    enumerate_silting = silted.silting.enumerate_two_term_silting
+
+    def counting(cat, graph=None):
+        calls.append((cat, graph is None))
+        return enumerate_silting(cat, graph)
+
+    monkeypatch.setattr(silted.silting, "enumerate_two_term_silting", counting)
+    monkeypatch.setattr(silted.census, "enumerate_two_term_silting", counting)
+    assert verify_tables(enum_max_d=5).ok()
+    assert len(calls) == len(set(calls)) == 11
 
 
 def test_star_images_are_silting():

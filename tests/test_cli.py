@@ -119,7 +119,7 @@ def test_invariant_failure_names_the_silting_object(monkeypatch, capsys):
 def test_tables_failure_names_the_row(monkeypatch, capsys):
     import silted.papertables
 
-    def broken(spec, m):
+    def broken(cat, tilts, m):
         raise AssertionError("clique enumeration produced a non-silting object")
 
     monkeypatch.setattr(silted.papertables, "tm_lambda_enumerated", broken)
@@ -173,6 +173,11 @@ GOLDEN_BYTES = {
     "tables-5-json": (
         "tables --enum-max 5 --format json",
         "5d215a7ac48f93324f05bbbaf930cd4ea89efbda849ac0749f35486e7135be93",
+    ),
+    # the n = 6 tm_lambda_enum rows, the documented (6, 1) gap among them
+    "tables-6-json": (
+        "tables --enum-max 6 --format json",
+        "ffc942d24739ec01d278d28c4b7458532104876b5e0eb65045a9f4abfd5f0a7f",
     ),
     "realization-6-linear": (
         "realization --n 6 --orientation linear",

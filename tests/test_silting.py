@@ -224,10 +224,9 @@ def test_mutation_two_completions():
     """Removing one summand of a silting object leaves exactly two ways back."""
     for q in (line_quiver(2), line_quiver(3), line_quiver(4), d_linear_quiver(4)):
         cat = knit_catalog(q)
-        graph = CompatibilityGraph(cat)
-        for s in enumerate_two_term_silting(cat, graph):
+        for s in enumerate_two_term_silting(cat):
             for summand in s.summands():
-                comps = completions(cat, graph, s, summand)
+                comps = completions(cat, s, summand)
                 assert len(comps) == 2
                 assert s in comps
 
