@@ -347,7 +347,14 @@ class ARCatalog:
         return img
 
     def ext1_dim(self, x, y):
-        """dim Ext^1(X, Y) = dim coker(Hom(P0,Y) -> Hom(P1,Y))."""
+        """dim Ext^1(X, Y) = dim coker(Hom(P0,Y) -> Hom(P1,Y)).
+
+        A test oracle: no code in the package calls it.  The AR-formula
+        tests compare it with dim Hom(Y, tau X) (test_acceptance,
+        test_catalog) and the rigidity tests read it (test_silting); it
+        stays here because it is built from the catalog's own
+        presentations and `restriction_image`.
+        """
         img = self.restriction_image(x, y)
         return img.ambient - img.dim
 

@@ -40,6 +40,7 @@ from .silting import (
     enumerate_two_term_silting,
     is_silting,
     is_two_term_tilting,
+    silting_object_json,
     silting_to_json,
     two_term,
 )
@@ -116,10 +117,7 @@ class ClassificationRecord:
 
     def to_json(self, cat):
         return {
-            "silting": {
-                "modules": [list(cat.dim_vector(x)) for x in self.silting.modules],
-                "shifted": list(self.silting.shifted),
-            },
+            "silting": silting_object_json(cat, self.silting),
             "end": self.end.to_json(),
             "components": [
                 {

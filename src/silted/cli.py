@@ -106,13 +106,18 @@ def _json_dump(doc):
     set; this writer knows the few types the CLI's documents hold: dicts
     with str keys, lists and tuples, str, int, bool and None.  Anything
     else raises TypeError.
+
+    A tuple of plain ints is written once per indent: its text is kept in
+    a memo keyed by (tuple, indent) for the length of this call, so a
+    document that shares one tuple across many places (the catalog's
+    dimension vectors) joins each distinct one once.
     """
     out = []
-    _emit(doc, "\n", out.append)
+    _emit(doc, "\n", out.append, {})
     return "".join(out)
 
 
-def _emit(x, nl, put):
+def _emit(x, nl, put, memo):
     """Append the indented JSON text of x at the depth whose newline plus
     indent is nl."""
     t = type(x)
@@ -121,14 +126,21 @@ def _emit(x, nl, put):
             put("[]")
             return
         inner = nl + "  "
-        # every item a plain int (a bool is not): one join for the list
+        # every item a plain int (a bool is not): one join for the list.
+        # The memo is read only after this test: a tuple holding a list is
+        # unhashable, and (1, True) == (1, 1).
         if list(map(type, x)).count(int) == len(x):
-            put("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+            text = memo.get((x, nl)) if t is tuple else None
+            if text is None:
+                text = "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
+                if t is tuple:
+                    memo[x, nl] = text
+            put(text)
             return
         sep = "[" + inner
         for v in x:
             put(sep)
-            _emit(v, inner, put)
+            _emit(v, inner, put, memo)
             sep = "," + inner
         put(nl + "]")
     elif t is dict:
@@ -141,7 +153,7 @@ def _emit(x, nl, put):
             if type(k) is not str:
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             put(sep + _quote(k) + ": ")
-            _emit(v, inner, put)
+            _emit(v, inner, put, memo)
             sep = "," + inner
         put(nl + "}")
     elif t is str:
@@ -218,11 +230,11 @@ def run(argv):
             elif args.format == "csv":
                 print("modules,shifted")
                 for o in objs:
-                    print(f"\"{o['modules']}\",\"{o['shifted']}\"")
+                    print(f"\"{list(map(list, o['modules']))}\",\"{o['shifted']}\"")
             else:
                 print(f"# 2-term silting complexes, {FAMILY_SYMBOL[args.family]}_{args.n}")
                 for o in objs:
-                    print(f"- modules {o['modules']} shifted {o['shifted']}")
+                    print(f"- modules {list(map(list, o['modules']))} shifted {o['shifted']}")
                 print(f"total: {len(objs)}")
             return 0
 

@@ -197,11 +197,13 @@ def completions(cat, s, removed):
     return found
 
 
+def silting_object_json(cat, s):
+    """The JSON dict of one 2-term object.  Each module summand is the
+    catalog's stored dimension-vector tuple, not a copy: a document shares
+    one tuple per distinct module, and `cli._json_dump` writes each tuple's
+    text once."""
+    return {"modules": [cat.dim_vector(x) for x in s.modules], "shifted": list(s.shifted)}
+
+
 def silting_to_json(cat, objs):
-    return [
-        {
-            "modules": [list(cat.dim_vector(x)) for x in s.modules],
-            "shifted": list(s.shifted),
-        }
-        for s in objs
-    ]
+    return [silting_object_json(cat, s) for s in objs]

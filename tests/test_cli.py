@@ -146,10 +146,24 @@ def test_realization_failure_names_the_silting_object(monkeypatch, capsys):
 
 
 # sha256 of the stdout of CLI documents the benchmark's digest gate does not
-# run: `classify --format json` per family and rank, the tables report (the
-# one document that reads `formulas.t_lambda`) and both realizations; the
-# same under PYTHONHASHSEED 0 and 1
+# run: `classify --format json` per family and rank, `enumerate` in each
+# format, the tables report (the one document that reads
+# `formulas.t_lambda`) and both realizations; the same under PYTHONHASHSEED
+# 0 and 1
 GOLDEN_BYTES = {
+    # csv and md print each module's dimension vector as a list
+    "enumerate-d-linear-6-json": (
+        "enumerate --family d-linear --n 6 --format json",
+        "0583df751d948e5df9fcf86223b592fe2bc44a3a560d062f9a2e7743bd2eaf3b",
+    ),
+    "enumerate-d-linear-6-csv": (
+        "enumerate --family d-linear --n 6 --format csv",
+        "89020823e862af22b1723885334e053ac91665f442d2fe2c2425041e4a3c3099",
+    ),
+    "enumerate-d-linear-6-md": (
+        "enumerate --family d-linear --n 6 --format md",
+        "7f6df5951eb0068f245c4a69236666c9932e44a5cf209416a71864937b62e99f",
+    ),
     "d-reversed-6": (
         "classify --family d-reversed --n 6 --format json",
         "c8fc6588efe84778f9199fc0bd30bc0f2fbc8fe76a2e3776764fc9f047223353",
@@ -268,9 +282,25 @@ def test_json_writer_matches_stdlib_on_edge_cases():
         True,
         None,
         -7,
+        # one int tuple at two depths: the memo is keyed by indent
+        [(1, 0, 2), [(1, 0, 2)], {"a": [[(1, 0, 2)]]}],
+        # equal to (1, 1) and (0, 0) but not all-int, so never memoised
+        [(1, 1), (1, True), (0, 0), (0, None), (1, True)],
+        {"silting": [{"modules": [(0, 1), (1, 1)], "shifted": [2]}, {"modules": [(0, 1)]}]},
     ]
     for doc in docs:
         assert cli._json_dump(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_memo_lasts_one_call():
+    vec = tuple(range(3, 7))
+    first = {"modules": [vec, vec]}
+    second = [[vec], {"v": vec}]
+    refs = sys.getrefcount(vec)
+    assert cli._json_dump(first) == json.dumps(first, indent=2)
+    assert cli._json_dump(second) == json.dumps(second, indent=2)
+    # a memo kept past the call would still hold the tuple
+    assert sys.getrefcount(vec) == refs
 
 
 @pytest.mark.parametrize(
