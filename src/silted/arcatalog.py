@@ -81,8 +81,7 @@ class ARCatalog:
         self.q = algebra_quiver
         self.rq = algebra_quiver.opposite()
         self.expected = _dynkin_root_count(algebra_quiver)
-        self._rpaths = QuiverWithRelations(self.rq)  # path tables of R, no relations
-        self.alg = BoundAlgebra(self._rpaths)  # kR: its projectives and cover steps
+        self.alg = BoundAlgebra(QuiverWithRelations(self.rq))  # kR: its projectives and cover steps
         self.indecs = []
         self.tau_of = {}
         self.tau_inv_of = {}
@@ -138,7 +137,7 @@ class ARCatalog:
 
     def _knit(self):
         for i in self.q.vertices:
-            vec = tuple(len(self._rpaths.paths(u, i)) for u in self.q.vertices)
+            vec = tuple(len(self.rq.paths(u, i)) for u in self.q.vertices)
             self._inj_dims[vec] = i
 
         in_neighbors = {}
@@ -159,7 +158,7 @@ class ARCatalog:
         for a in self.rq.arrows:
             P = self.alg.projective(a.src)
             e_a = [F0] * P.dims[a.tgt]
-            e_a[self._rpaths.path_index(a.src, a.tgt)[arrow_path(a)]] = F1
+            e_a[self.rq.path_index(a.src, a.tgt)[arrow_path(a)]] = F1
             incl = expand(self.alg, [a.tgt], [e_a], P)
             self.arrows_out[self._proj_id[a.tgt]].append((self._proj_id[a.src], incl))
         for i in self.q.vertices:
@@ -378,21 +377,13 @@ class Presentation:
 
     def restriction_columns(self, Y):
         """Images in Hom(P1, Y)-coordinates of the Hom(P0, Y) basis vectors."""
+        dim = sum(Y.dims[w] for w in self.p0.slots)
         cols = []
-        for k, w in enumerate(self.p0.slots):
-            for t in range(Y.dims[w]):
-                gens = []
-                for kk, ww in enumerate(self.p0.slots):
-                    vec = [F0] * Y.dims[ww]
-                    if kk == k:
-                        vec[t] = F1
-                    gens.append(vec)
-                mats = expand(self.alg, self.p0.slots, gens, Y)
-                restricted = {u: mats[u].mul(self.iota[u]) for u in mats}
-                col = []
-                for kk, u in enumerate(self.p1.slots):
-                    col.extend(restricted[u].column(self.p1.gen_positions[kk]))
-                cols.append(col)
+        for t in range(dim):
+            e = [F0] * dim
+            e[t] = F1
+            mats = expand(self.alg, self.p0.slots, self.p0.split(e, Y), Y)
+            cols.append(self.p1.gather({u: mats[u].mul(self.iota[u]) for u in mats}))
         return cols
 
 

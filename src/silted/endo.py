@@ -23,10 +23,10 @@ representative lands in the same class.  The output is a quiver with
 relations (the Gabriel quiver with a minimal generating set of the kernel
 ideal), audited against the total hom dimension.
 
-The paths of the Gabriel quiver come from one `QuiverWithRelations` path
-table: the evaluation map, the kernels and the relation terms are indexed
-by it, and the presented algebra is bound over the same table
-(`with_relations`), so the audit does not enumerate the paths again.
+The paths of the Gabriel quiver come from its one `Quiver.path_table`:
+the evaluation map, the kernels and the relation terms are indexed by it,
+and the presented algebra is bound over the same quiver, so the audit
+does not enumerate the paths again.
 Every linear solve (hom-space coordinates, cover and syzygy lifts) is
 `linalg.solve`, and the spaces Hom(M, P(v)[1]) are cokernels of the
 catalog's `restriction_image`.
@@ -144,13 +144,8 @@ class TwoTermHomCalc:
         if sig == (MOD, SHIFT, SHIFT):
             pres = self.cat.min_projective_presentation(src[1])
             P_mid = self.cat.indecs[self.cat.proj(mid[1])]
-            out = []
-            off = 0
-            for u in pres.p1.slots:
-                chunk = f[off:off + P_mid.dims[u]]
-                off += P_mid.dims[u]
-                out.extend(g[u].apply(chunk))
-            return out
+            chunks = pres.p1.split(f, P_mid)
+            return [x for u, chunk in zip(pres.p1.slots, chunks) for x in g[u].apply(chunk)]
         raise AssertionError(f"unsupported composition signature {sig}")
 
     def _lift_p1(self, x, y, f):
@@ -181,17 +176,8 @@ class TwoTermHomCalc:
         """(eta: Y -> P(v)[1]) composed with a chain lift of f: X -> Y."""
         pres_x, pres_y, f1 = lift
         P = self.cat.indecs[self.cat.proj(v)]
-        gens = []
-        off = 0
-        for u in pres_y.p1.slots:
-            gens.append(eta[off:off + P.dims[u]])
-            off += P.dims[u]
-        eta_mats = expand(self.cat.alg, pres_y.p1.slots, gens, P)
-        comp = {u: eta_mats[u].mul(f1[u]) for u in self.cat.q.vertices}
-        out = []
-        for k, u in enumerate(pres_x.p1.slots):
-            out.extend(comp[u].column(pres_x.p1.gen_positions[k]))
-        return out
+        eta_mats = expand(self.cat.alg, pres_y.p1.slots, pres_y.p1.split(eta, P), P)
+        return pres_x.p1.gather({u: eta_mats[u].mul(f1[u]) for u in self.cat.q.vertices})
 
 
 class EndPresentation:
@@ -267,10 +253,10 @@ def end_algebra(silt, cat, calc=None):
 
     # Every path of length >= 1 is evaluated, in order of length, from its
     # prefix's coordinates and the mult table of its last arrow.
-    free = QuiverWithRelations(gq)
-    pairs = [(u, v) for u in gq.vertices for v in gq.vertices if u != v and free.paths(u, v)]
+    # relations are appended in (u, v) order, so the pairs are sorted
+    pairs = sorted(key for key in gq.path_table() if key[0] != key[1])
     evals = {}
-    for p in sorted((p for key in pairs for p in free.paths(*key)), key=lambda p: p.length):
+    for p in sorted((p for key in pairs for p in gq.paths(*key)), key=lambda p: p.length):
         a = gq.arrow_by_id[p.arrows[-1]]
         t = witnesses[a.id]
         out = [F0] * h[p.source - 1][p.target - 1]
@@ -287,7 +273,7 @@ def end_algebra(silt, cat, calc=None):
     # kernels of the evaluation, per ordered vertex pair
     kernels = {}
     for (u, v) in pairs:
-        plist = free.paths(u, v)
+        plist = gq.paths(u, v)
         emat = Mat.from_columns([evals[p.arrows] for p in plist], h[u - 1][v - 1])
         kvecs = nullspace(emat)
         for kv in kvecs:
@@ -303,19 +289,19 @@ def end_algebra(silt, cat, calc=None):
         kvecs = kernels[(u, v)]
         if not kvecs:
             continue
-        plist = free.paths(u, v)
+        plist = gq.paths(u, v)
         boundary = Subspace(len(plist))
         for a in gq.out_arrows[u]:
             for kv in kernels.get((a.tgt, v), []):
-                boundary.add(free.arrow_product(kv, a.tgt, v, a, left=True))
+                boundary.add(gq.arrow_product(kv, a.tgt, v, a, left=True))
         for a in gq.in_arrows[v]:
             for kv in kernels.get((u, a.src), []):
-                boundary.add(free.arrow_product(kv, u, a.src, a, left=False))
+                boundary.add(gq.arrow_product(kv, u, a.src, a, left=False))
         for kv in kvecs:
             if boundary.add(kv):
                 relations.append(Relation(tuple((c, p) for c, p in zip(kv, plist) if c != 0)))
 
-    qwr = free.with_relations(relations)
+    qwr = QuiverWithRelations(gq, relations)
     total = sum(sum(row) for row in h)
     if qwr.algebra_dimension() != total:
         raise AssertionError("presentation audit failed: ideal does not match kernels")

@@ -3,15 +3,18 @@
 A quiver with relations is the presentation format for every algebra in
 this package: the Dynkin path algebras we enumerate over and the
 endomorphism algebras the census produces.  Paths compose left to right
-(`p.then(q)` walks p first).  All linear algebra on path spaces is exact.
+(`p.then(q)` walks p first).  The paths of kQ depend on Q alone: each
+`Quiver` builds its `path_table` once, and every presentation over it
+(the End, its bound algebra, a component) indexes that one table.  All
+linear algebra on path spaces is exact.
 
 `projective_cover` is the package's one projective-resolution engine: a
 single cover/kernel step 0 -> K -> P -> M -> 0 over a bound quiver
 algebra.  The AR catalog builds its minimal presentations from two steps
 over the hereditary base.
 
-`_ideal_words` decides once per presentation whether the ideal is
-monomial and which paths generate it.  Global dimension, string and
+`_ideal_words` decides once per presentation, from its ideal spans,
+whether the ideal is monomial and which paths generate it.  Global dimension, string and
 gentle all read those words: a monomial ideal's global dimension comes
 from overlapping them (Green-Happel-Zacharia), and the string (S1)-(S3)
 and gentle conditions are conditions on the length-2 words
@@ -22,7 +25,7 @@ simples.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel, nullspace
 
@@ -41,13 +44,7 @@ class Quiver:
         self.vertices = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        arrs = []
-        for a in arrows:
-            if isinstance(a, Arrow):
-                arrs.append(a)
-            else:
-                arrs.append(Arrow(*a))
-        self.arrows = tuple(arrs)
+        self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
         ids = [a.id for a in self.arrows]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate arrow ids")
@@ -66,6 +63,64 @@ class Quiver:
         for v in self.vertices:
             self.out_arrows[v].sort(key=lambda a: a.id)
             self.in_arrows[v].sort(key=lambda a: a.id)
+        self._paths = None
+        self._pathindex = None
+
+    def path_table(self):
+        """Per vertex pair (u, v) joined by a path, the paths u -> v sorted
+        by (length, arrow id sequence): the diagonal first, then the pairs
+        as lengthwise extension reaches them.  Built on first use and kept;
+        raises ValueError on an oriented cycle."""
+        if self._paths is not None:
+            return self._paths
+        if not self.is_acyclic():
+            raise ValueError("path-space computations need an acyclic quiver")
+        table = {(v, v): [trivial_path(v)] for v in self.vertices}
+        frontier = dict(table)
+        while frontier:
+            nxt = {}
+            for (u, v), plist in frontier.items():
+                for a in self.out_arrows[v]:
+                    nxt.setdefault((u, a.tgt), []).extend(p.then(arrow_path(a)) for p in plist)
+            for key, plist in nxt.items():
+                table.setdefault(key, []).extend(plist)
+            frontier = nxt
+        for plist in table.values():
+            plist.sort(key=lambda p: (p.length, p.arrows))
+        self._pathindex = {key: {p: i for i, p in enumerate(plist)} for key, plist in table.items()}
+        self._paths = table
+        return table
+
+    def paths(self, u, v):
+        """All paths u -> v, sorted by (length, arrow id sequence)."""
+        return self.path_table().get((u, v), [])
+
+    def path_index(self, u, v):
+        self.path_table()
+        return self._pathindex.get((u, v), {})
+
+    def relation_vector(self, rel):
+        """Coefficient vector of a relation in the (source,target) path basis."""
+        u, v = rel.source, rel.target
+        idx = self.path_index(u, v)
+        vec = [F0] * len(idx)
+        for c, p in rel.terms:
+            if p not in idx:
+                raise ValueError("relation path not in quiver")
+            vec[idx[p]] += c
+        return vec
+
+    def arrow_product(self, vec, u, v, a, left):
+        """The product a.x (left) or x.a of the arrow a with x = vec over the
+        paths u -> v, as a vector over the paths of the product."""
+        ap = arrow_path(a)
+        src, tgt = (a.src, v) if left else (u, a.tgt)
+        idx = self.path_index(src, tgt)
+        out = [F0] * len(idx)
+        for x, p in zip(vec, self.paths(u, v)):
+            if x != 0:
+                out[idx[ap.then(p) if left else p.then(ap)]] += x
+        return out
 
     def opposite(self):
         return Quiver(self.vertices, [Arrow(a.id, a.tgt, a.src) for a in self.arrows])
@@ -154,115 +209,39 @@ _UNSET = object()
 class QuiverWithRelations:
     """A quiver plus admissible relations; the bound algebra is kQ/I.
 
-    Only acyclic quivers are supported for algebra-level computations
-    (path spaces are then finite and the quotient is automatic to bound).
+    The paths of kQ depend on the quiver alone, so they live in its
+    `Quiver.path_table`, shared by every presentation over that quiver;
+    the ideal spans, ideal words and fingerprint are cached here.
     """
 
     def __init__(self, quiver, relations=()):
         self.quiver = quiver
         self.relations = tuple(relations)
-        self._paths = None
         self._ideal = None
         self._words = _UNSET
         self._fingerprint = None
-        self._pathindex = None
-
-    # ---- path space bookkeeping -------------------------------------
-
-    def paths(self, u, v):
-        """All paths u -> v, sorted by (length, arrow id sequence)."""
-        if self._paths is None:
-            self._build_paths()
-        return self._paths.get((u, v), [])
-
-    def _build_paths(self):
-        if not self.quiver.is_acyclic():
-            raise ValueError("path-space computations need an acyclic quiver")
-        table = {}
-        for v in self.quiver.vertices:
-            table[(v, v)] = [trivial_path(v)]
-        # lengthwise extension
-        frontier = {(v, v): [trivial_path(v)] for v in self.quiver.vertices}
-        while frontier:
-            nxt = {}
-            for (u, v), plist in frontier.items():
-                for a in self.quiver.out_arrows[v]:
-                    q = [p.then(arrow_path(a)) for p in plist]
-                    nxt.setdefault((u, a.tgt), []).extend(q)
-            for key, plist in nxt.items():
-                table.setdefault(key, []).extend(plist)
-            frontier = nxt
-        for key in table:
-            table[key].sort(key=lambda p: (p.length, p.arrows))
-        self._paths = table
-        self._pathindex = {
-            key: {p: i for i, p in enumerate(plist)} for key, plist in table.items()
-        }
-
-    def path_index(self, u, v):
-        if self._pathindex is None:
-            self._build_paths()
-        return self._pathindex.get((u, v), {})
-
-    def with_relations(self, relations):
-        """The same quiver bound by `relations`, sharing these path lists
-        and indices (they depend on the quiver alone) instead of building
-        its own."""
-        if self._paths is None:
-            self._build_paths()
-        out = QuiverWithRelations(self.quiver, relations)
-        out._paths, out._pathindex = self._paths, self._pathindex
-        return out
-
-    def relation_vector(self, rel):
-        """Coefficient vector of a relation in the (source,target) path basis."""
-        u, v = rel.source, rel.target
-        idx = self.path_index(u, v)
-        vec = [F0] * len(self.paths(u, v))
-        for c, p in rel.terms:
-            if p not in idx:
-                raise ValueError("relation path not in quiver")
-            vec[idx[p]] += c
-        return vec
-
-    def arrow_product(self, vec, u, v, a, left):
-        """The product a.x (left) or x.a of the arrow a with x = vec over the
-        paths u -> v, as a vector over the paths of the product."""
-        ap = arrow_path(a)
-        src, tgt = (a.src, v) if left else (u, a.tgt)
-        idx = self.path_index(src, tgt)
-        out = [F0] * len(idx)
-        for x, p in zip(vec, self.paths(u, v)):
-            if x != 0:
-                out[idx[ap.then(p) if left else p.then(ap)]] += x
-        return out
 
     def ideal_spans(self):
         """Per (u,v) pair, the subspace of the path space spanned by the ideal."""
         if self._ideal is not None:
             return self._ideal
-        spans = {}
-        verts = self.quiver.vertices
-        for u in verts:
-            for v in verts:
-                if self.paths(u, v):
-                    spans[(u, v)] = Subspace(len(self.paths(u, v)))
+        q = self.quiver
+        spans = {key: Subspace(len(plist)) for key, plist in q.path_table().items()}
         todo = []
         for rel in self.relations:
-            vec = self.relation_vector(rel)
-            if spans[(rel.source, rel.target)].add(vec):
+            if spans[(rel.source, rel.target)].add(q.relation_vector(rel)):
                 todo.append((rel.source, rel.target))
         # close under multiplication by arrows on both sides
         while todo:
             (u, v) = todo.pop()
             base = spans[(u, v)].basis()
-            for a in self.quiver.in_arrows[u]:
+            for a in q.in_arrows[u]:
                 for row in base:
-                    if spans[(a.src, v)].add(self.arrow_product(row, u, v, a, left=True)):
+                    if spans[(a.src, v)].add(q.arrow_product(row, u, v, a, left=True)):
                         todo.append((a.src, v))
-            for a in self.quiver.out_arrows[v]:
+            for a in q.out_arrows[v]:
                 for row in base:
-                    if spans[(u, a.tgt)].add(self.arrow_product(row, u, v, a, left=False)):
+                    if spans[(u, a.tgt)].add(q.arrow_product(row, u, v, a, left=False)):
                         todo.append((u, a.tgt))
         self._ideal = spans
         return spans
@@ -270,13 +249,7 @@ class QuiverWithRelations:
     def algebra_dimension(self):
         """Dimension of kQ/I = total path count minus ideal dimension."""
         spans = self.ideal_spans()
-        total = 0
-        for u in self.quiver.vertices:
-            for v in self.quiver.vertices:
-                plist = self.paths(u, v)
-                if plist:
-                    total += len(plist) - spans[(u, v)].dim
-        return total
+        return sum(len(plist) - spans[key].dim for key, plist in self.quiver.path_table().items())
 
 
 # ---- spec operations ----------------------------------------------------
@@ -290,7 +263,7 @@ def paths_between(qwr, u, v):
     """
     if u not in qwr.quiver.vertices or v not in qwr.quiver.vertices:
         raise KeyError(f"unknown vertex in ({u}, {v})")
-    plist = qwr.paths(u, v)
+    plist = qwr.quiver.paths(u, v)
     if not plist:
         return []
     span = qwr.ideal_spans()[(u, v)]
@@ -299,22 +272,21 @@ def paths_between(qwr, u, v):
 
 def _ideal_words(qwr):
     """The minimal generating paths of I, as a frozenset of arrow-id
-    tuples, when I is monomial; None when it is not.  Cached on qwr.
-
-    A presentation whose relations are all single paths is read off its
-    relation words; any other off its ideal spans.
-    """
+    tuples, when I is monomial; None when it is not.  Read off the ideal
+    spans (`_span_words`) and cached on qwr."""
     if qwr._words is _UNSET:
-        if all(rel.is_monomial() for rel in qwr.relations):
-            qwr._words = _relation_words(qwr)
-        else:
-            qwr._words = _span_words(qwr)
+        qwr._words = _span_words(qwr)
     return qwr._words
 
 
 def _relation_words(qwr):
     """The relation words that contain no other relation word; exact when
-    every relation is a single path, since they then generate I."""
+    every relation is a single path, since they then generate I.
+
+    A test oracle: no code in the package calls it.
+    test_relation_words_match_the_ideal_spans_on_censuses compares it with
+    `_span_words` on every monomial census component.
+    """
     words = {rel.terms[0][1].arrows for rel in qwr.relations}
     return frozenset(
         w for w in words
@@ -337,7 +309,7 @@ def _span_words(qwr):
     """
     in_ideal = set()
     for (u, v), span in qwr.ideal_spans().items():
-        plist = qwr.paths(u, v)
+        plist = qwr.quiver.paths(u, v)
         for row, piv in zip(span.rows, span.pivots):
             if any(x != 0 for j, x in enumerate(row) if j != piv):
                 return None
@@ -384,12 +356,13 @@ def connected_components(qwr):
     """Split along underlying undirected connectivity; relations follow
     the component containing their support.
 
-    When the ideal of qwr is already built, each component takes qwr's
-    path lists, path indices and ideal spans for the vertex pairs inside
-    it (shared, not copied) instead of building its own.  That is exact:
-    the paths between two vertices of a component are the same in both
-    quivers and sorted alike, closing the ideal under arrows never leaves
-    a component, and a subspace has one reduced row echelon form.
+    When the path table of qwr's quiver is already built, each
+    component's quiver takes its entries for the vertex pairs inside the
+    component, and when qwr's ideal is built, the component takes its
+    spans there (shared, not copied) instead of building its own.  That is
+    exact: the paths between two vertices of a component are the same in
+    both quivers and sorted alike, closing the ideal under arrows never
+    leaves a component, and a subspace has one reduced row echelon form.
     """
     q = qwr.quiver
     parent = {v: v for v in q.vertices}
@@ -413,10 +386,12 @@ def connected_components(qwr):
         vset = set(verts)
         arrows = [a for a in q.arrows if a.src in vset]
         rels = [r for r in qwr.relations if r.source in vset]
-        comp = QuiverWithRelations(Quiver(verts, arrows), rels)
+        sub = Quiver(verts, arrows)
+        if q._paths is not None:
+            sub._paths = {k: v for k, v in q._paths.items() if k[0] in vset}
+            sub._pathindex = {k: v for k, v in q._pathindex.items() if k[0] in vset}
+        comp = QuiverWithRelations(sub, rels)
         if qwr._ideal is not None:
-            comp._paths = {k: v for k, v in qwr._paths.items() if k[0] in vset}
-            comp._pathindex = {k: v for k, v in qwr._pathindex.items() if k[0] in vset}
             comp._ideal = {k: v for k, v in qwr._ideal.items() if k[0] in vset}
         comps.append(comp)
     return comps
@@ -433,22 +408,13 @@ def is_gradable(q):
         stack = [start]
         while stack:
             v = stack.pop()
-            for a in q.out_arrows[v]:
-                want = deg[v] + 1
-                if a.tgt in deg:
-                    if deg[a.tgt] != want:
-                        return False
-                else:
-                    deg[a.tgt] = want
-                    stack.append(a.tgt)
-            for a in q.in_arrows[v]:
-                want = deg[v] - 1
-                if a.src in deg:
-                    if deg[a.src] != want:
-                        return False
-                else:
-                    deg[a.src] = want
-                    stack.append(a.src)
+            steps = [(a.tgt, 1) for a in q.out_arrows[v]] + [(a.src, -1) for a in q.in_arrows[v]]
+            for w, step in steps:
+                if w not in deg:
+                    deg[w] = deg[v] + step
+                    stack.append(w)
+                elif deg[w] != deg[v] + step:
+                    return False
     return True
 
 
@@ -463,25 +429,17 @@ class BoundAlgebra:
     """
 
     def __init__(self, qwr):
-        if not qwr.quiver.is_acyclic():
-            raise ValueError("global dimension machinery requires an acyclic quiver")
         self.qwr = qwr
         self.q = qwr.quiver
         # (u,v) -> list of representative paths
-        self.basis = {
-            (u, v): paths_between(qwr, u, v)
-            for u in self.q.vertices
-            for v in self.q.vertices
-            if qwr.paths(u, v)
-        }
+        self.basis = {key: paths_between(qwr, *key) for key in self.q.path_table()}
         self._projectives = {}
 
     def reduce_path(self, path):
         """Coordinates of a path in the canonical basis of its path space."""
         u, v = path.source, path.target
-        plist = self.qwr.paths(u, v)
-        idx = self.qwr.path_index(u, v)
-        vec = [F0] * len(plist)
+        idx = self.q.path_index(u, v)
+        vec = [F0] * len(idx)
         vec[idx[path]] = F1
         span = self.qwr.ideal_spans()[(u, v)]
         return span.quotient_coords(vec)
@@ -539,6 +497,10 @@ class CoverStep:
     trivial path) sits at position `gen_positions[k]` of P at its vertex.
     `cover` maps the k-th generator to `gens[k]` in M; `incl` is the
     inclusion of K as the columns of the nullspace basis of `cover`.
+
+    A map from P to a module Y is given by its generator images, laid out
+    as one vector of Hom(P, Y)-coordinates: slot by slot, a vector of
+    Y at the slot's vertex.  `split` and `gather` read that layout.
     """
 
     __slots__ = ("slots", "gens", "gen_positions", "P", "cover", "K", "incl")
@@ -551,6 +513,24 @@ class CoverStep:
         self.cover = cover
         self.K = K
         self.incl = incl
+
+    def split(self, vec, target):
+        """The generator images, slot by slot, of the map P -> target with
+        Hom(P, target)-coordinates `vec`."""
+        out = []
+        off = 0
+        for v in self.slots:
+            out.append(vec[off:off + target.dims[v]])
+            off += target.dims[v]
+        return out
+
+    def gather(self, mats):
+        """The Hom(P, Y)-coordinates of the map P -> Y with per-vertex
+        matrices `mats`: its columns at the slot generators."""
+        out = []
+        for v, pos in zip(self.slots, self.gen_positions):
+            out.extend(mats[v].column(pos))
+        return out
 
 
 def expand(alg, slots, gen_images, target):
@@ -623,8 +603,6 @@ def global_dimension(qwr):
     A monomial ideal reads it off its minimal generating words; any other
     resolves each simple with projective_cover.
     """
-    if not qwr.quiver.is_acyclic():
-        raise ValueError("global_dimension requires an acyclic quiver")
     words = _ideal_words(qwr)
     if words is not None:
         return _gldim_from_words(qwr.quiver, words)
@@ -770,22 +748,17 @@ def effective_intersection_count(qwr):
 
 def _degree_profile(qwr):
     q = qwr.quiver
-    prof = {}
-    for v in q.vertices:
-        prof[v] = (len(q.in_arrows[v]), len(q.out_arrows[v]))
-    return prof
+    return {v: (len(q.in_arrows[v]), len(q.out_arrows[v])) for v in q.vertices}
 
 
 def _pair_dims(qwr):
     """(path count, ideal dim) per ordered vertex pair; an iso invariant."""
     spans = qwr.ideal_spans()
-    out = {}
-    for u in qwr.quiver.vertices:
-        for v in qwr.quiver.vertices:
-            plist = qwr.paths(u, v)
-            if plist and u != v:
-                out[(u, v)] = (len(plist), spans[(u, v)].dim)
-    return out
+    return {
+        (u, v): (len(plist), spans[(u, v)].dim)
+        for (u, v), plist in qwr.quiver.path_table().items()
+        if u != v
+    }
 
 
 def iso_fingerprint(qwr):
@@ -821,27 +794,14 @@ def _arrow_map_candidates(qa, qb, vmap):
     bgroups = {}
     for b in qb.arrows:
         bgroups.setdefault((b.src, b.tgt), []).append(b)
-    keys = sorted(groups, key=lambda k: (k[0], k[1]))
     choices = []
-    for key in keys:
-        mapped = (vmap[key[0]], vmap[key[1]])
-        tgt = bgroups.get(mapped, [])
+    for key in sorted(groups):
+        tgt = bgroups.get((vmap[key[0]], vmap[key[1]]), [])
         if len(tgt) != len(groups[key]):
             return
-        choices.append((groups[key], list(permutations(tgt))))
-
-    def rec(i, acc):
-        if i == len(choices):
-            yield dict(acc)
-            return
-        src_arrows, perms = choices[i]
-        for perm in perms:
-            step = list(acc)
-            for a, b in zip(src_arrows, perm):
-                step.append((a.id, b.id))
-            yield from rec(i + 1, step)
-
-    yield from rec(0, [])
+        choices.append([[(a.id, b.id) for a, b in zip(groups[key], perm)] for perm in permutations(tgt)])
+    for combo in product(*choices):
+        yield {aid: bid for pairs in combo for aid, bid in pairs}
 
 
 def are_isomorphic(a, b):
@@ -911,7 +871,7 @@ def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
     pair_data = []
     for u in a.quiver.vertices:
         for v in a.quiver.vertices:
-            plist = a.paths(u, v)
+            plist = a.quiver.paths(u, v)
             if not plist or u == v:
                 continue
             span_a = spans_a[(u, v)]
@@ -921,8 +881,8 @@ def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
                 return False
             if span_a.dim == 0:
                 continue
-            idx_b = b.path_index(*key_b)
-            nb = len(b.paths(*key_b))
+            idx_b = b.quiver.path_index(*key_b)
+            nb = len(idx_b)
             pair_data.append((u, v, plist, key_b, idx_b, nb, span_a, span_b))
             for row in span_a.basis():
                 supp = [(p, c) for c, p in zip(row, plist) if c != 0]

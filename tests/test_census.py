@@ -262,7 +262,7 @@ def test_path_table_built_once_per_end_presentation(monkeypatch):
 
     builds = []
     per_end = []
-    build = QuiverWithRelations._build_paths
+    table = Quiver.path_table
     end = silted.census.end_algebra
 
     def counting_end(*args, **kwargs):
@@ -272,16 +272,24 @@ def test_path_table_built_once_per_end_presentation(monkeypatch):
         # the relation terms are the paths of the table the End was built on
         for rel in ep.qwr.relations:
             for _, p in rel.terms:
-                assert any(p is q for q in ep.qwr.paths(rel.source, rel.target))
+                assert any(p is q for q in ep.qwr.quiver.paths(rel.source, rel.target))
         return ep
 
-    monkeypatch.setattr(QuiverWithRelations, "_build_paths", lambda q: builds.append(q) or build(q))
+    def counting_table(q):
+        if q._paths is None:
+            builds.append(q)
+        return table(q)
+
+    monkeypatch.setattr(Quiver, "path_table", counting_table)
     monkeypatch.setattr(silted.census, "end_algebra", counting_end)
-    records, _ = classify_family(AlgebraSpec("d-linear", 5))
+    spec = AlgebraSpec("d-linear", 5)
+    records, _ = classify_family(spec)
     assert per_end == [1] * len(records) == [1] * 182
     # components, gldim and dedup reuse the End's table; the one other
     # build is the base algebra's, when the catalog is not yet memoised
     assert len(builds) - sum(per_end) <= 1
+    ends = {id(rec.end.qwr.quiver) for rec in records}
+    assert all(id(q) in ends or q is get_catalog(spec).rq for q in builds)
 
 
 def census_components(family, n):
@@ -324,10 +332,10 @@ def test_components_inherit_the_end_ideal():
     for family, n in (("d-linear", 5), ("b", 5)):
         for cq in census_components(family, n):
             assert cq._ideal is not None
-            fresh = QuiverWithRelations(cq.quiver, cq.relations)
+            fresh = QuiverWithRelations(Quiver(cq.quiver.vertices, cq.quiver.arrows), cq.relations)
             spans = fresh.ideal_spans()
-            assert cq._paths == fresh._paths
-            assert cq._pathindex == fresh._pathindex
+            assert cq.quiver._paths == fresh.quiver._paths
+            assert cq.quiver._pathindex == fresh.quiver._pathindex
             assert cq.ideal_spans().keys() == spans.keys()
             for key, span in spans.items():
                 got = cq.ideal_spans()[key]

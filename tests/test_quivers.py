@@ -351,11 +351,11 @@ def test_arrow_product_on_both_sides_of_a_commutativity_relation():
         [Arrow(1, 1, 2), Arrow(2, 1, 3), Arrow(3, 2, 4), Arrow(4, 3, 4), Arrow(5, 0, 1), Arrow(6, 4, 5)],
     )
     qwr = QuiverWithRelations(q, [Relation(((1, path(q, 1, 3)), (-1, path(q, 2, 4))))])
-    vec = qwr.relation_vector(qwr.relations[0])
-    left = qwr.arrow_product(vec, 1, 4, q.arrow_by_id[5], left=True)
-    right = qwr.arrow_product(vec, 1, 4, q.arrow_by_id[6], left=False)
-    assert left == qwr.relation_vector(Relation(((1, path(q, 5, 1, 3)), (-1, path(q, 5, 2, 4)))))
-    assert right == qwr.relation_vector(Relation(((1, path(q, 1, 3, 6)), (-1, path(q, 2, 4, 6)))))
+    vec = q.relation_vector(qwr.relations[0])
+    left = q.arrow_product(vec, 1, 4, q.arrow_by_id[5], left=True)
+    right = q.arrow_product(vec, 1, 4, q.arrow_by_id[6], left=False)
+    assert left == q.relation_vector(Relation(((1, path(q, 5, 1, 3)), (-1, path(q, 5, 2, 4)))))
+    assert right == q.relation_vector(Relation(((1, path(q, 1, 3, 6)), (-1, path(q, 2, 4, 6)))))
     spans = qwr.ideal_spans()
     assert spans[(0, 4)].contains(left) and spans[(1, 5)].contains(right)
 
@@ -406,8 +406,8 @@ def test_components_share_a_built_ideal():
     built = connected_components(qwr)
     assert [c.algebra_dimension() for c in built] == [5, 3]
     assert built[0].ideal_spans()[(3, 1)] is qwr.ideal_spans()[(3, 1)]
-    assert built[0].paths(3, 1) is qwr.paths(3, 1)
-    assert built[1].paths(5, 4) == [path(q, 3)]
+    assert built[0].quiver.paths(3, 1) is q.paths(3, 1)
+    assert built[1].quiver.paths(5, 4) == [path(q, 3)]
 
 
 def test_components_carry_relations():
@@ -426,6 +426,16 @@ def test_gradable():
     assert is_gradable(square_qwr().quiver)
     q = Quiver([1, 2], [Arrow(1, 1, 2), Arrow(2, 2, 1)])
     assert not is_gradable(q)
+
+
+def test_oriented_cycle_has_no_path_space():
+    q = Quiver([1, 2], [Arrow(1, 1, 2), Arrow(2, 2, 1)])
+    with pytest.raises(ValueError, match="acyclic"):
+        q.paths(1, 2)
+    with pytest.raises(ValueError, match="acyclic"):
+        QuiverWithRelations(q).ideal_spans()
+    with pytest.raises(ValueError, match="acyclic"):
+        global_dimension(QuiverWithRelations(q))
 
 
 def test_gradable_unbalanced_cycle():
