@@ -243,12 +243,8 @@ class ARCatalog:
         for (tid, _), tind, offs in zip(outs, targets, col_offsets):
             maps = {}
             for u in self.q.vertices:
-                m = Mat(z_dims[u], tind.dims[u])
-                for c in range(tind.dims[u]):
-                    col = proj[u].column(offs[u] + c)
-                    for r in range(z_dims[u]):
-                        m.a[r][c] = col[r]
-                maps[u] = m
+                cols = [proj[u].column(offs[u] + c) for c in range(tind.dims[u])]
+                maps[u] = Mat.from_columns(cols, z_dims[u])
             self.arrows_out[tid].append((z, maps))
         return z
 

@@ -10,12 +10,13 @@ classified by global dimension:
 Each distinct component presentation is matched once, up to isomorphism
 with arrow rescaling, against the earlier component classes; a record's
 isomorphism class is the multiset of its components' classes.  The
-summary carries the class counts a_s / a_t / a_ss that the reference
-tables pin down.
+records stream from census_records, and census_summary folds them into
+the class counts a_s / a_t / a_ss that the reference tables pin down.
 """
 
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arcatalog import knit_catalog
 from .endo import TwoTermHomCalc, end_algebra
@@ -46,6 +47,7 @@ from .silting import (
 )
 
 FAMILIES = ("a", "d-linear", "d-reversed", "b")
+N_CAP = 9  # the default highest rank of a census or an enumeration
 
 COMPONENT_LABELS = {
     0: "semisimple-point",
@@ -113,7 +115,7 @@ class ClassificationRecord:
     family_label: str
     is_tilting_module: bool
     is_tilting_complex: bool
-    iso_class: int = -1
+    iso_class: int = -1  # numbered by census_records as it yields the record
 
     def to_json(self, cat):
         return {
@@ -149,7 +151,7 @@ class CensusSummary:
     a_ht: int
     a_nht: int
     label_class_counts: dict
-    overlaps: list = field(default_factory=list)
+    overlaps: list
 
     def to_json(self):
         return {
@@ -315,57 +317,58 @@ def classify_record(cat, calc, s, spec, memo):
     )
 
 
-def census_records(spec):
+def census_records(spec, n_cap=N_CAP):
     """The one census loop: the record of each silting object of spec, in
-    enumeration order, classified against one component memo.  No record
-    is kept here; the consumer numbers their iso_class."""
+    enumeration order, classified against one component memo and numbered
+    with its iso_class (by first occurrence) as it is yielded; none is
+    kept.  Iterating raises ValueError first when spec.n exceeds n_cap."""
+    if spec.n > n_cap:
+        raise ValueError(f"n={spec.n} exceeds the enumeration cap {n_cap}")
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
     memo = _ComponentMemo()
-    for s in enumerate_two_term_silting(cat):
-        yield classify_record(cat, calc, s, spec, memo)
-
-
-def classify_family(spec, n_cap=9):
-    """Full census: the records of census_records, each with its
-    isomorphism class, plus the aggregate summary."""
-    if spec.n > n_cap:
-        raise ValueError(f"n={spec.n} exceeds the enumeration cap {n_cap}")
-    records = list(census_records(spec))
     classes = {}
-    class_records = {}
-    for rec in records:
+    for s in enumerate_two_term_silting(cat):
+        rec = classify_record(cat, calc, s, spec, memo)
         rec.iso_class = classes.setdefault(_iso_key(rec.components), len(classes))
-        class_records.setdefault(rec.iso_class, []).append(rec)
-    tilt_classes = {rec.iso_class for rec in records if rec.is_tilting_module}
-    ss_classes = {c for c, recs in class_records.items() if recs[0].gldim == 3}
-    ht_classes = {
-        rec.iso_class
-        for rec in records
-        if rec.is_tilting_module and not rec.end.qwr.relations
-    }
-    label_counts = {}
-    overlaps = []
-    for c, recs in class_records.items():
-        labels = sorted({r.family_label for r in recs})
-        for lab in labels:
-            label_counts[lab] = label_counts.get(lab, 0) + 1
-        if len(labels) > 1:
-            overlaps.append({"isoClass": c, "labels": labels})
-    summary = CensusSummary(
+        yield rec
+
+
+def census_summary(spec, records):
+    """The summary of spec's census from one pass over any iterable of its
+    records, keeping per class its family labels (its records share gldim)."""
+    n_silting = n_tilting = 0
+    class_labels, tilt_classes, ss_classes, ht_classes = {}, set(), set(), set()
+    for n_silting, rec in enumerate(records, 1):
+        class_labels.setdefault(rec.iso_class, set()).add(rec.family_label)
+        if rec.gldim == 3:
+            ss_classes.add(rec.iso_class)
+        if rec.is_tilting_module:
+            n_tilting += 1
+            tilt_classes.add(rec.iso_class)
+            if not rec.end.qwr.relations:
+                ht_classes.add(rec.iso_class)
+    return CensusSummary(
         family=spec.family,
         n=spec.n,
-        n_silting=len(records),
-        n_tilting=sum(1 for r in records if r.is_tilting_module),
-        a_s=len(classes),
+        n_silting=n_silting,
+        n_tilting=n_tilting,
+        a_s=len(class_labels),
         a_t=len(tilt_classes),
         a_ss=len(ss_classes),
         a_ht=len(ht_classes),
         a_nht=len(tilt_classes) - len(ht_classes),
-        label_class_counts=label_counts,
-        overlaps=sorted(overlaps, key=lambda d: d["isoClass"]),
+        label_class_counts=Counter(lab for labels in class_labels.values() for lab in labels),
+        overlaps=[
+            {"isoClass": c, "labels": sorted(ls)} for c, ls in class_labels.items() if len(ls) > 1
+        ],
     )
-    return records, summary
+
+
+def classify_family(spec, n_cap=N_CAP):
+    """Full census: the list of census_records(spec) and its census_summary."""
+    records = list(census_records(spec, n_cap))
+    return records, census_summary(spec, records)
 
 
 # ---- survival counts up to the fork symmetry -------------------------------

@@ -23,7 +23,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import formulas as F
 from .census import (
     FAMILIES,
+    N_CAP,
     AlgebraSpec,
+    census_records,
+    census_summary,
     classify_family,
     realization_complex,
     records_to_json,
@@ -74,12 +77,12 @@ def _build_parser():
 
     sp = sub.add_parser("enumerate", help="list 2-term silting complexes")
     add_common(sp)
-    sp.add_argument("--n-cap", type=int, default=9)
+    sp.add_argument("--n-cap", type=int, default=N_CAP)
 
     sp = sub.add_parser("classify", help="census records and summary")
     add_common(sp)
-    sp.add_argument("--n-cap", type=int, default=9)
-    sp.add_argument("--summary-only", action="store_true")
+    sp.add_argument("--n-cap", type=int, default=N_CAP)
+    sp.add_argument("--summary-only", action="store_true", help="summary only; keeps no record")
 
     sp = sub.add_parser("count", help="evaluate a counting quantity")
     sp.add_argument("quantity", choices=sorted(QUANTITIES))
@@ -222,8 +225,7 @@ def run(argv):
         if args.cmd == "enumerate":
             spec = AlgebraSpec(args.family, args.n)
             if args.n > args.n_cap:
-                print(f"n={args.n} exceeds the cap {args.n_cap}", file=sys.stderr)
-                return 1
+                raise ValueError(f"n={args.n} exceeds the enumeration cap {args.n_cap}")
             objs = silting_json(spec)
             if args.format == "json":
                 print(_json_dump({"family": args.family, "n": args.n, "silting": objs}))
@@ -240,12 +242,12 @@ def run(argv):
 
         if args.cmd == "classify":
             spec = AlgebraSpec(args.family, args.n)
-            records, summary = classify_family(spec, n_cap=args.n_cap)
+            if args.format == "json" and not args.summary_only:
+                print(_json_dump(records_to_json(spec, *classify_family(spec, args.n_cap))))
+                return 0
+            summary = census_summary(spec, census_records(spec, args.n_cap))
             if args.format == "json":
-                if args.summary_only:
-                    print(_json_dump(summary.to_json()))
-                else:
-                    print(_json_dump(records_to_json(spec, records, summary)))
+                print(_json_dump(summary.to_json()))
             elif args.format == "csv":
                 print(_summary_csv(summary))
             else:

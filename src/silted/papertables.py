@@ -14,9 +14,10 @@ from contextlib import contextmanager
 
 from . import formulas as F
 from .census import (
+    N_CAP,
     AlgebraSpec,
-    _iso_key,
     census_records,
+    census_summary,
     classify_family,
     delta_enumerated,
     get_catalog,
@@ -171,9 +172,12 @@ def verify_tables(enum_max_d=5, deep_ss=False):
     LABEL_ROWS rows, and their silting objects, read by the tm_lambda_enum
     rows (those without a shifted summand) and the star_bijection rows; a
     row whose rank was not run is left empty.  One A_n tilting list per
-    n <= ENUM_MAX_A serves t_a and delta_row.  deep_ss also counts a_ss of
-    the rank-7 linear census as its records stream, keeping none.
+    n <= ENUM_MAX_A serves t_a and delta_row.  deep_ss also reads a_ss of
+    the rank-7 linear census off its census_summary, keeping no record.
+    An enum_max_d above N_CAP raises ValueError before any enumeration.
     """
+    if enum_max_d > N_CAP:
+        raise ValueError(f"enum_max_d={enum_max_d} exceeds the enumeration cap {N_CAP}")
     summaries = {}
     objects = {}
     for n in range(4, enum_max_d + 1):
@@ -217,8 +221,8 @@ def verify_tables(enum_max_d=5, deep_ss=False):
             if (family, n) in summaries:
                 enum = getattr(summaries[(family, n)], attr)
             elif quantity == "a_ss_lambda" and n == 7 and deep_ss:
-                records = census_records(AlgebraSpec(family, n))
-                enum = len({_iso_key(r.components) for r in records if r.gldim == 3})
+                spec = AlgebraSpec(family, n)
+                enum = census_summary(spec, census_records(spec)).a_ss
             rep.add(quantity, n, enum=enum, formula=closed(n), reference=ref)
     for n, parts in REFERENCE["c_parts"].items():
         for i, ref in sorted(parts.items()):

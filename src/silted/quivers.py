@@ -869,53 +869,48 @@ def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
     arrow_pos = {aid: i for i, aid in enumerate(arrow_ids)}
     constraints = []  # (integer exponent vector over a-arrows, ratio in Q*)
     pair_data = []
-    for u in a.quiver.vertices:
-        for v in a.quiver.vertices:
-            plist = a.quiver.paths(u, v)
-            if not plist or u == v:
-                continue
-            span_a = spans_a[(u, v)]
-            key_b = (vmap[u], vmap[v])
-            span_b = spans_b[key_b]
-            if span_a.dim != span_b.dim:
+    # the pairs joined by a path, in the (u, v) order of a's vertex tuple
+    rank = {v: i for i, v in enumerate(a.quiver.vertices)}
+    pairs = sorted(a.quiver.path_table().items(), key=lambda kv: [rank[x] for x in kv[0]])
+    for (u, v), plist in pairs:
+        span_a = spans_a[(u, v)]
+        key_b = (vmap[u], vmap[v])
+        span_b = spans_b[key_b]
+        if span_a.dim != span_b.dim:
+            return False
+        if span_a.dim == 0:
+            continue
+        idx_b = b.quiver.path_index(*key_b)
+        nb = len(idx_b)
+        pair_data.append((u, v, plist, key_b, idx_b, nb, span_a, span_b))
+        for row in span_a.basis():
+            supp = [(p, c) for c, p in zip(row, plist) if c != 0]
+            # solution space of sum_t y_t e_{sigma p_t} in span_b
+            rems = []
+            for p, _c in supp:
+                e = [F0] * nb
+                e[idx_b[_sigma_path(vmap, amap, p)]] = F1
+                rems.append(span_b.reduce(e))
+            sols = nullspace(Mat.from_columns(rems, nb))
+            if not sols:
                 return False
-            if span_a.dim == 0:
-                continue
-            idx_b = b.quiver.path_index(*key_b)
-            nb = len(idx_b)
-            pair_data.append((u, v, plist, key_b, idx_b, nb, span_a, span_b))
-            for row in span_a.basis():
-                supp = [(p, c) for c, p in zip(row, plist) if c != 0]
-                # solution space of sum_t y_t e_{sigma p_t} in span_b
-                rems = []
-                for p, _c in supp:
-                    e = [F0] * nb
-                    e[idx_b[_sigma_path(vmap, amap, p)]] = F1
-                    rems.append(span_b.reduce(e))
-                cond = Mat(nb, len(supp))
-                for t, rem in enumerate(rems):
-                    for i in range(nb):
-                        cond.a[i][t] = rem[i]
-                sols = nullspace(cond)
-                if not sols:
+            if len(sols) == 1:
+                kappa = sols[0]
+                if any(k == 0 for k in kappa):
                     return False
-                if len(sols) == 1:
-                    kappa = sols[0]
-                    if any(k == 0 for k in kappa):
-                        return False
-                    p0, c0 = supp[0]
-                    sp0 = set(_sigma_path(vmap, amap, p0).arrows)
-                    for t in range(1, len(supp)):
-                        pt, ct = supp[t]
-                        spt = set(_sigma_path(vmap, amap, pt).arrows)
-                        exps = [0] * len(arrow_ids)
-                        for aid, i in arrow_pos.items():
-                            bid = amap[aid]
-                            exps[i] = (1 if bid in spt else 0) - (1 if bid in sp0 else 0)
-                        ratio = Fraction(kappa[t] * c0) / (kappa[0] * ct)
-                        constraints.append((exps, ratio))
-                # solution spaces of dimension >= 2 impose no chain constraint;
-                # the final verification below covers them
+                p0, c0 = supp[0]
+                sp0 = set(_sigma_path(vmap, amap, p0).arrows)
+                for t in range(1, len(supp)):
+                    pt, ct = supp[t]
+                    spt = set(_sigma_path(vmap, amap, pt).arrows)
+                    exps = [0] * len(arrow_ids)
+                    for aid, i in arrow_pos.items():
+                        bid = amap[aid]
+                        exps[i] = (1 if bid in spt else 0) - (1 if bid in sp0 else 0)
+                    ratio = Fraction(kappa[t] * c0) / (kappa[0] * ct)
+                    constraints.append((exps, ratio))
+            # solution spaces of dimension >= 2 impose no chain constraint;
+            # the final verification below covers them
     weights = _solve_rescaling(arrow_ids, constraints)
     if weights is None:
         return False

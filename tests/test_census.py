@@ -8,6 +8,8 @@ from silted.census import (
     AlgebraSpec,
     _ComponentMemo,
     _iso_key,
+    census_records,
+    census_summary,
     classify_family,
     delta_enumerated,
     expected_realization_end,
@@ -484,3 +486,13 @@ def test_records_json_roundtrip():
 def test_n_cap():
     with pytest.raises(ValueError):
         classify_family(AlgebraSpec("d-linear", 6), n_cap=5)
+
+
+@pytest.mark.parametrize("family", ["d-linear", "d-reversed", "b"])
+def test_streamed_summary_matches_classify_family(family):
+    spec = AlgebraSpec(family, 5)
+    records, summary = classify_family(spec)
+    streamed = [rec.iso_class for rec in census_records(spec)]
+    assert streamed == [rec.iso_class for rec in records]
+    assert -1 not in streamed
+    assert census_summary(spec, census_records(spec)).to_json() == summary.to_json()

@@ -58,6 +58,26 @@ def test_enumerate_cap():
     assert code == 1
 
 
+@pytest.mark.parametrize("fmt", [["--summary-only"], ["--format", "csv"], ["--format", "md"]])
+def test_classify_cap_on_streamed_summaries(fmt, capsys):
+    code = run(["classify", "--family", "d-linear", "--n", "8", "--n-cap", "6"] + fmt)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "n=8 exceeds the enumeration cap 6" in err
+
+
+def test_tables_above_the_cap_runs_no_census(monkeypatch, capsys):
+    import silted.papertables
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("a census ran")
+
+    for name in ("classify_family", "census_records", "census_summary", "get_catalog"):
+        monkeypatch.setattr(silted.papertables, name, no_census)
+    assert run(["tables", "--enum-max", "10"]) == 1
+    assert "exceeds the enumeration cap 9" in capsys.readouterr().err
+
+
 def test_classify_md_summary():
     code, out = capture(["classify", "--family", "d-linear", "--n", "4", "--format", "md"])
     assert code == 0
@@ -146,10 +166,10 @@ def test_realization_failure_names_the_silting_object(monkeypatch, capsys):
 
 
 # sha256 of the stdout of CLI documents the benchmark's digest gate does not
-# run: `classify --format json` per family and rank, `enumerate` in each
-# format, the tables report (the one document that reads
-# `formulas.t_lambda`) and both realizations; the same under PYTHONHASHSEED
-# 0 and 1
+# run: `classify --format json` per family and rank, the streamed summaries
+# (`--summary-only`, csv and md), `enumerate` in each format, the tables
+# report (the one document that reads `formulas.t_lambda`) and both
+# realizations; the same under PYTHONHASHSEED 0 and 1
 GOLDEN_BYTES = {
     # csv and md print each module's dimension vector as a list
     "enumerate-d-linear-6-json": (
@@ -205,6 +225,19 @@ GOLDEN_BYTES = {
     "tables-4-deep-ss-json": (
         "tables --enum-max 4 --deep-ss --format json",
         "00cde69e5f2ea449b85cf752e1b42353da46b5fa44965c41074b2580ea07faa2",
+    ),
+    # the summaries read off the record stream without a record list
+    "d-reversed-6-md": (
+        "classify --family d-reversed --n 6 --format md",
+        "8a4fa1d5bd9086d80242ee0f3e26611e73d7f588a669cef2796e1e52bacb35b0",
+    ),
+    "d-reversed-6-csv": (
+        "classify --family d-reversed --n 6 --format csv",
+        "50e4683a337e6fac4c3542dcc63bd0990794caa436f25014da2069f07f2a2f87",
+    ),
+    "d-linear-6-summary": (
+        "classify --family d-linear --n 6 --summary-only",
+        "2e67880123fce74960c7ca3b078109f5883fa0fcb1a0d4b069c823636ec06c9c",
     ),
 }
 
