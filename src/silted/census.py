@@ -12,6 +12,10 @@ with arrow rescaling, against the earlier component classes; a record's
 isomorphism class is the multiset of its components' classes.  The
 records stream from census_records, and census_summary folds them into
 the class counts a_s / a_t / a_ss that the reference tables pin down.
+classify_family runs both in one pass and keeps per record only what
+its caller asks for (a full JSON classify keeps one text per record), and
+the component memo keeps a full presentation only per component class,
+so a census holds little beyond what it prints.
 """
 
 from collections import Counter
@@ -22,6 +26,7 @@ from .arcatalog import knit_catalog
 from .endo import TwoTermHomCalc, end_algebra
 from .quivers import (
     Path,
+    Quiver,
     QuiverWithRelations,
     are_isomorphic,
     b_reversed_quiver,
@@ -242,7 +247,11 @@ class _ComponentMemo:
 
     A presentation seen for the first time is classified once and matched
     against the class representatives in its iso_fingerprint bucket; it
-    joins the first isomorphic one or starts a new component class.
+    joins the first isomorphic one or starts a new component class.  Only
+    a representative keeps the presentation as classified, with its path
+    table, ideal spans, words and fingerprint, since are_isomorphic reads
+    them on every later match; any other keeps a bare copy of its quiver
+    and relations, all that qwr_to_json reads.
     """
 
     def __init__(self):
@@ -271,8 +280,11 @@ class _ComponentMemo:
         if rep is not None and rep.gldim != g:
             raise AssertionError("isomorphic components disagree on gldim")
         cls = self.n_classes if rep is None else rep.iso_class
+        qwr = cq
+        if rep is not None:
+            qwr = QuiverWithRelations(Quiver(cq.quiver.vertices, cq.quiver.arrows), cq.relations)
         info = ComponentInfo(
-            cq, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq), cls
+            qwr, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq), cls
         )
         if rep is None:
             self.n_classes += 1
@@ -365,10 +377,20 @@ def census_summary(spec, records):
     )
 
 
-def classify_family(spec, n_cap=N_CAP):
-    """Full census: the list of census_records(spec) and its census_summary."""
-    records = list(census_records(spec, n_cap))
-    return records, census_summary(spec, records)
+def classify_family(spec, n_cap=N_CAP, keep=None):
+    """Full census in one pass: (kept, summary), with summary the
+    census_summary of census_records(spec, n_cap) and kept the list of
+    keep(rec) per record in enumeration order, or of the records
+    themselves when keep is None.  With keep given, no record outlives
+    its turn in the stream (unless keep returns it)."""
+    kept = []
+
+    def stream():
+        for rec in census_records(spec, n_cap):
+            kept.append(rec if keep is None else keep(rec))
+            yield rec
+
+    return kept, census_summary(spec, stream())
 
 
 # ---- survival counts up to the fork symmetry -------------------------------

@@ -28,8 +28,9 @@ from .census import (
     census_records,
     census_summary,
     classify_family,
+    get_catalog,
     realization_complex,
-    records_to_json,
+    records_to_json,  # unused here; perfbench/child.py wraps this name
     silting_json,
 )
 
@@ -102,13 +103,21 @@ def _build_parser():
     return p
 
 
+class _Rendered(str):
+    """A value's JSON text as _json_dump wrote it at depth 0.  _emit puts it
+    at any depth by re-indenting its lines, which is exact: json.dumps
+    escapes every newline inside a string, so each newline of the text
+    starts an indented line."""
+
+
 def _json_dump(doc):
     """The text of json.dumps(doc, indent=2), byte for byte.
 
     The stdlib falls back to its pure-Python encoder whenever an indent is
     set; this writer knows the few types the CLI's documents hold: dicts
-    with str keys, lists and tuples, str, int, bool and None.  Anything
-    else raises TypeError.
+    with str keys, lists and tuples, str, int, bool and None, plus the
+    _Rendered text of such a value, written as that value would be.
+    Anything else raises TypeError.
 
     A tuple of plain ints is written once per indent: its text is kept in
     a memo keyed by (tuple, indent) for the length of this call, so a
@@ -161,6 +170,8 @@ def _emit(x, nl, put, memo):
         put(nl + "}")
     elif t is str:
         put(_quote(x))
+    elif t is _Rendered:
+        put(x.replace("\n", nl))
     elif t is int:
         put(int.__repr__(x))
     elif x is True:
@@ -243,7 +254,16 @@ def run(argv):
         if args.cmd == "classify":
             spec = AlgebraSpec(args.family, args.n)
             if args.format == "json" and not args.summary_only:
-                print(_json_dump(records_to_json(spec, *classify_family(spec, args.n_cap))))
+                # the census keeps one JSON text per record, and the
+                # document around them goes to stdout piece by piece, so
+                # its text is never held whole
+                texts, summary = classify_family(
+                    spec,
+                    args.n_cap,
+                    keep=lambda rec: _Rendered(_json_dump(rec.to_json(get_catalog(spec)))),
+                )
+                _emit({"summary": summary.to_json(), "records": texts}, "\n", sys.stdout.write, {})
+                print()
                 return 0
             summary = census_summary(spec, census_records(spec, args.n_cap))
             if args.format == "json":

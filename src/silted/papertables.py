@@ -168,10 +168,11 @@ def verify_tables(enum_max_d=5, deep_ss=False):
     """Three-way comparison: enumeration vs formula vs reference values.
 
     Each catalog is enumerated once.  The D censuses up to rank enum_max_d
-    run first and keep only their summaries, read by the SUMMARY_ROWS and
-    LABEL_ROWS rows, and their silting objects, read by the tm_lambda_enum
-    rows (those without a shifted summand) and the star_bijection rows; a
-    row whose rank was not run is left empty.  One A_n tilting list per
+    run first, each one streamed through classify_family, which keeps no
+    record: only the summary, read by the SUMMARY_ROWS and LABEL_ROWS
+    rows, and the silting objects, read by the tm_lambda_enum rows (those
+    without a shifted summand) and the star_bijection rows; a row whose
+    rank was not run is left empty.  One A_n tilting list per
     n <= ENUM_MAX_A serves t_a and delta_row.  deep_ss also reads a_ss of
     the rank-7 linear census off its census_summary, keeping no record.
     An enum_max_d above N_CAP raises ValueError before any enumeration.
@@ -182,8 +183,9 @@ def verify_tables(enum_max_d=5, deep_ss=False):
     objects = {}
     for n in range(4, enum_max_d + 1):
         for family in ("d-linear", "d-reversed"):
-            records, summaries[(family, n)] = classify_family(AlgebraSpec(family, n))
-            objects[(family, n)] = [rec.silting for rec in records]
+            objects[(family, n)], summaries[(family, n)] = classify_family(
+                AlgebraSpec(family, n), keep=lambda rec: rec.silting
+            )
 
     rep = TableReport()
     a_tilts = {}

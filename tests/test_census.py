@@ -1,4 +1,5 @@
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from silted.quivers import (
     _ideal_words,
     _relation_words,
     _span_words,
+    _UNSET,
     are_isomorphic,
     connected_components,
     is_gradable,
@@ -496,3 +498,40 @@ def test_streamed_summary_matches_classify_family(family):
     assert streamed == [rec.iso_class for rec in records]
     assert -1 not in streamed
     assert census_summary(spec, census_records(spec)).to_json() == summary.to_json()
+
+
+@pytest.mark.parametrize("family", ["d-linear", "d-reversed", "b"])
+def test_classify_family_keeps_no_record_when_given_keep(family):
+    spec = AlgebraSpec(family, 5)
+    records, summary = classify_family(spec)
+    refs, streamed = classify_family(spec, keep=weakref.ref)
+    assert len(refs) == streamed.n_silting == len(records)
+    assert all(ref() is None for ref in refs)
+    assert streamed.to_json() == summary.to_json()
+    objs, _ = classify_family(spec, keep=lambda rec: rec.silting)
+    assert objs == [rec.silting for rec in records]
+    assert objs == list(enumerate_two_term_silting(get_catalog(spec)))
+
+
+@pytest.mark.parametrize("family", ["d-linear", "d-reversed"])
+def test_only_component_class_representatives_keep_built_presentations(monkeypatch, family):
+    import silted.census
+
+    memos = []
+
+    class RecordingMemo(_ComponentMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(silted.census, "_ComponentMemo", RecordingMemo)
+    spec = AlgebraSpec(family, 5)
+    census_summary(spec, census_records(spec))
+    (memo,) = memos
+    reps = {id(info) for bucket in memo.buckets.values() for info in bucket}
+    others = [info for info in memo.infos.values() if id(info) not in reps]
+    assert len(reps) == memo.n_classes and others
+    for info in others:
+        qwr = info.qwr
+        assert qwr.quiver._paths is None and qwr.quiver._pathindex is None
+        assert qwr._ideal is None and qwr._words is _UNSET and qwr._fingerprint is None

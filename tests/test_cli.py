@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from silted import cli
+from silted.census import AlgebraSpec, classify_family, records_to_json
 from silted.cli import run
 
 
@@ -115,7 +116,7 @@ def test_tables_exit_code_and_content():
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     import silted.cli
 
-    def broken(spec, n_cap):
+    def broken(spec, n_cap, keep=None):
         raise AssertionError("presentation audit failed")
 
     monkeypatch.setattr(silted.cli, "classify_family", broken)
@@ -288,6 +289,14 @@ def test_console_entry_point():
     ],
 )
 def test_json_writer_matches_stdlib_on_cli_documents(monkeypatch, argv):
+    if argv[0] == "classify" and "--summary-only" not in argv:
+        # a full classify writes each record's text on its own, then the
+        # document around those texts
+        spec = AlgebraSpec(argv[2], int(argv[4]))
+        code, out = capture(argv)
+        assert code == 0
+        assert out == json.dumps(records_to_json(spec, *classify_family(spec)), indent=2) + "\n"
+        return
     docs = []
     write = cli._json_dump
     monkeypatch.setattr(cli, "_json_dump", lambda doc: docs.append(doc) or write(doc))
@@ -323,6 +332,12 @@ def test_json_writer_matches_stdlib_on_edge_cases():
     ]
     for doc in docs:
         assert cli._json_dump(doc) == json.dumps(doc, indent=2)
+        # a pre-rendered text re-indents to the depth it is put at
+        text = cli._Rendered(cli._json_dump(doc))
+        nested = {"a": [text, {"b": text}], "c": text}
+        assert cli._json_dump(nested) == json.dumps(
+            {"a": [doc, {"b": doc}], "c": doc}, indent=2
+        )
 
 
 def test_json_writer_memo_lasts_one_call():
