@@ -17,7 +17,7 @@ the catalog takes two cover/kernel steps of the one resolution engine in
 dimensions of endomorphism algebras.
 """
 
-from .linalg import F0, F1, Mat, Subspace, block_diag, nullspace, stack_rows
+from .linalg import F0, F1, Mat, Subspace, block_diag, nullspace
 from .quivers import BoundAlgebra, QuiverWithRelations, RepModule, arrow_path, expand, projective_cover
 
 
@@ -201,11 +201,10 @@ class ARCatalog:
         z_dims = {}
         amb = {u: sum(t.dims[u] for t in targets) for u in self.q.vertices}
         for u in self.q.vertices:
-            stacked = stack_rows([m[u] for (_, m) in outs], ind.dims[u])
-            # stacked: columns = x-basis at u, rows = ambient middle space at u
+            # the image of x's basis vector j at u in the sum of the middles
             sp = Subspace(amb[u])
-            for j in range(stacked.cols):
-                sp.add(stacked.column(j))
+            for j in range(ind.dims[u]):
+                sp.add([c for (_, m) in outs for c in m[u].column(j)])
             if sp.dim != ind.dims[u]:
                 raise AssertionError("mesh map is not injective; knitting is broken")
             comp = sp.complement_indices()
@@ -324,7 +323,7 @@ class ARCatalog:
         if not syz.K.is_zero():
             raise AssertionError("kernel of a cover is not projective; base not hereditary?")
         iota = {u: top.incl[u].mul(syz.cover[u]) for u in self.q.vertices}
-        pres = Presentation(self.alg, top, syz, iota)
+        pres = Presentation(top, syz, iota)
         self._pres_cache[x] = pres
         return pres
 
@@ -334,11 +333,14 @@ class ARCatalog:
         is Ext^1(X, Y)."""
         pres = self.min_projective_presentation(x)
         Y = self.indecs[y]
-        img = Subspace(pres.hom_p1_dim(Y))
+        img = Subspace(sum(Y.dims[u] for u in pres.p1.slots))
         # Ext^1 out of a projective vanishes (P1 = 0 there anyway)
         if not self.is_projective(x):
-            for col in pres.restriction_columns(Y):
-                img.add(col)
+            dim = sum(Y.dims[w] for w in pres.p0.slots)
+            for t in range(dim):
+                e = [F0] * dim
+                e[t] = F1
+                img.add(pres.p0.pull_back(self.alg, e, Y, pres.iota, pres.p1))
         return img
 
     def ext1_dim(self, x, y):
@@ -362,25 +364,10 @@ class Presentation:
     images of its slot generators.
     """
 
-    def __init__(self, alg, p0, p1, iota):
-        self.alg = alg
+    def __init__(self, p0, p1, iota):
         self.p0 = p0
         self.p1 = p1
         self.iota = iota  # per-vertex Mat: P0.dims[u] x P1.dims[u]
-
-    def hom_p1_dim(self, Y):
-        return sum(Y.dims[u] for u in self.p1.slots)
-
-    def restriction_columns(self, Y):
-        """Images in Hom(P1, Y)-coordinates of the Hom(P0, Y) basis vectors."""
-        dim = sum(Y.dims[w] for w in self.p0.slots)
-        cols = []
-        for t in range(dim):
-            e = [F0] * dim
-            e[t] = F1
-            mats = expand(self.alg, self.p0.slots, self.p0.split(e, Y), Y)
-            cols.append(self.p1.gather({u: mats[u].mul(self.iota[u]) for u in mats}))
-        return cols
 
 
 def knit_catalog(q):

@@ -16,9 +16,15 @@ classify_family runs both in one pass and keeps per record only what
 its caller asks for (a full JSON classify keeps one text per record), and
 the component memo keeps a full presentation only per component class,
 so a census holds little beyond what it prints.
+
+FAMILIES is the one table of the families: each maps to its quiver
+builder, its least rank and the symbol the reports print, in the order the
+CLI offers them.  naming_failure is the one guard that re-raises an
+invariant failure with the family, the rank and the silting object or
+table row it was met at.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -51,7 +57,13 @@ from .silting import (
     two_term,
 )
 
-FAMILIES = ("a", "d-linear", "d-reversed", "b")
+Family = namedtuple("Family", "quiver least_rank symbol")
+FAMILIES = {
+    "a": Family(line_quiver, 1, "A"),
+    "d-linear": Family(d_linear_quiver, 4, "Lambda"),
+    "d-reversed": Family(d_reversed_quiver, 4, "Gamma"),
+    "b": Family(b_reversed_quiver, 2, "B"),
+}
 N_CAP = 9  # the default highest rank of a census or an enumeration
 
 COMPONENT_LABELS = {
@@ -70,22 +82,9 @@ class AlgebraSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("d-linear", "d-reversed") and self.n < 4:
-            raise ValueError("D families need n >= 4")
-        if self.family == "b" and self.n < 2:
-            raise ValueError("the reversed line needs n >= 2")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-
-def family_quiver(spec):
-    if spec.family == "a":
-        return line_quiver(spec.n)
-    if spec.family == "d-linear":
-        return d_linear_quiver(spec.n)
-    if spec.family == "d-reversed":
-        return d_reversed_quiver(spec.n)
-    return b_reversed_quiver(spec.n)
+        least = FAMILIES[self.family].least_rank
+        if self.n < least:
+            raise ValueError(f"family {self.family} needs n >= {least}")
 
 
 _catalog_memo = {}
@@ -94,7 +93,7 @@ _catalog_memo = {}
 def get_catalog(spec):
     key = (spec.family, spec.n)
     if key not in _catalog_memo:
-        _catalog_memo[key] = knit_catalog(family_quiver(spec))
+        _catalog_memo[key] = knit_catalog(FAMILIES[spec.family].quiver(spec.n))
     return _catalog_memo[key]
 
 
@@ -230,16 +229,19 @@ def _staggered_overlap(qwr):
 
 
 @contextmanager
-def _naming_object(cat, spec, s):
-    """Re-raise an AssertionError with the family, rank and silting object."""
+def naming_failure(spec, where):
+    """Re-raise an AssertionError with the family, the rank and where(),
+    the text naming the silting object or the table row at hand."""
     try:
         yield
     except AssertionError as exc:
-        mods = ["M(" + ",".join(map(str, cat.dim_vector(x))) + ")" for x in s.modules]
-        summands = " + ".join(mods + [f"P({v})[1]" for v in s.shifted])
-        raise AssertionError(
-            f"{exc} (family {spec.family}, n={spec.n}, silting object {summands})"
-        ) from exc
+        raise AssertionError(f"{exc} (family {spec.family}, n={spec.n}, {where()})") from exc
+
+
+def _object_text(cat, s):
+    """The silting object s as naming_failure names it."""
+    mods = ["M(" + ",".join(map(str, cat.dim_vector(x))) + ")" for x in s.modules]
+    return "silting object " + " + ".join(mods + [f"P({v})[1]" for v in s.shifted])
 
 
 class _ComponentMemo:
@@ -299,7 +301,7 @@ def _iso_key(comps):
 
 
 def classify_record(cat, calc, s, spec, memo):
-    with _naming_object(cat, spec, s):
+    with naming_failure(spec, lambda: _object_text(cat, s)):
         ep = end_algebra(s, cat, calc)
         comps = memo.classify(ep.qwr)
         gd = max((c.gldim for c in comps), default=0)
@@ -329,13 +331,17 @@ def classify_record(cat, calc, s, spec, memo):
     )
 
 
+def _check_cap(spec, n_cap):
+    if spec.n > n_cap:
+        raise ValueError(f"n={spec.n} exceeds the enumeration cap {n_cap}")
+
+
 def census_records(spec, n_cap=N_CAP):
     """The one census loop: the record of each silting object of spec, in
     enumeration order, classified against one component memo and numbered
     with its iso_class (by first occurrence) as it is yielded; none is
     kept.  Iterating raises ValueError first when spec.n exceeds n_cap."""
-    if spec.n > n_cap:
-        raise ValueError(f"n={spec.n} exceeds the enumeration cap {n_cap}")
+    _check_cap(spec, n_cap)
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
     memo = _ComponentMemo()
@@ -479,7 +485,7 @@ def star_crosscheck(n, gamma_objs, lambda_objs):
     gs, ls = gamma_objs, set(lambda_objs)
     images = set()
     for s in gs:
-        with _naming_object(gcat, gspec, s):
+        with naming_failure(gspec, lambda: _object_text(gcat, s)):
             t = star(s)
             if not is_silting(t, lcat):
                 return {"ok": False, "reason": f"image of {s} is not silting"}
@@ -525,7 +531,7 @@ def realization_complex(orientation, n):
         s = two_term(mods, [2, n - 1, n])
     else:
         raise ValueError("orientation must be 'linear' or 'reversed'")
-    with _naming_object(cat, spec, s):
+    with naming_failure(spec, lambda: _object_text(cat, s)):
         ep = end_algebra(s, cat)
         expected = expected_realization_end(n)
         report = {
@@ -560,6 +566,9 @@ def records_to_json(spec, records, summary):
     }
 
 
-def silting_json(spec):
+def silting_json(spec, n_cap=N_CAP):
+    """The JSON list of spec's silting objects; ValueError when spec.n
+    exceeds n_cap, before anything is enumerated."""
+    _check_cap(spec, n_cap)
     cat = get_catalog(spec)
     return silting_to_json(cat, enumerate_two_term_silting(cat))

@@ -63,8 +63,6 @@ for _i in range(1, 15):
 for _k in ("b1", "b247", "b3", "b5", "b6", "b7"):
     QUANTITIES[_k] = (lambda k: lambda n, m: F.b_part(n, k))(_k)
 
-FAMILY_SYMBOL = {"a": "A", "d-linear": "Lambda", "d-reversed": "Gamma", "b": "B"}
-
 
 def _build_parser():
     p = argparse.ArgumentParser(prog="silted", description=__doc__.splitlines()[0])
@@ -110,8 +108,10 @@ class _Rendered(str):
     starts an indented line."""
 
 
-def _json_dump(doc):
-    """The text of json.dumps(doc, indent=2), byte for byte.
+def _json_dump(doc, write=None):
+    """The text of json.dumps(doc, indent=2), byte for byte.  With write
+    given, the text goes to write piece by piece instead, never held
+    whole, and "" is returned.
 
     The stdlib falls back to its pure-Python encoder whenever an indent is
     set; this writer knows the few types the CLI's documents hold: dicts
@@ -125,7 +125,7 @@ def _json_dump(doc):
     dimension vectors) joins each distinct one once.
     """
     out = []
-    _emit(doc, "\n", out.append, {})
+    _emit(doc, "\n", write or out.append, {})
     return "".join(out)
 
 
@@ -185,7 +185,7 @@ def _emit(x, nl, put, memo):
 
 
 def _summary_md(summary):
-    sym = FAMILY_SYMBOL[summary.family]
+    sym = FAMILIES[summary.family].symbol
     lines = [
         f"# census {sym}_{summary.n}",
         "",
@@ -234,10 +234,7 @@ def run(argv):
         return 0 if exc.code == 0 else 1
     try:
         if args.cmd == "enumerate":
-            spec = AlgebraSpec(args.family, args.n)
-            if args.n > args.n_cap:
-                raise ValueError(f"n={args.n} exceeds the enumeration cap {args.n_cap}")
-            objs = silting_json(spec)
+            objs = silting_json(AlgebraSpec(args.family, args.n), args.n_cap)
             if args.format == "json":
                 print(_json_dump({"family": args.family, "n": args.n, "silting": objs}))
             elif args.format == "csv":
@@ -245,7 +242,7 @@ def run(argv):
                 for o in objs:
                     print(f"\"{list(map(list, o['modules']))}\",\"{o['shifted']}\"")
             else:
-                print(f"# 2-term silting complexes, {FAMILY_SYMBOL[args.family]}_{args.n}")
+                print(f"# 2-term silting complexes, {FAMILIES[args.family].symbol}_{args.n}")
                 for o in objs:
                     print(f"- modules {list(map(list, o['modules']))} shifted {o['shifted']}")
                 print(f"total: {len(objs)}")
@@ -262,7 +259,7 @@ def run(argv):
                     args.n_cap,
                     keep=lambda rec: _Rendered(_json_dump(rec.to_json(get_catalog(spec)))),
                 )
-                _emit({"summary": summary.to_json(), "records": texts}, "\n", sys.stdout.write, {})
+                _json_dump({"summary": summary.to_json(), "records": texts}, sys.stdout.write)
                 print()
                 return 0
             summary = census_summary(spec, census_records(spec, args.n_cap))
@@ -277,7 +274,7 @@ def run(argv):
         if args.cmd == "count":
             try:
                 val = QUANTITIES[args.quantity](args.n, args.m)
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, RecursionError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             print(val)

@@ -34,10 +34,7 @@ catalog's `restriction_image`.
 
 from .linalg import F0, F1, Mat, Subspace, nullspace, solve
 from .quivers import Arrow, Quiver, QuiverWithRelations, Relation, expand
-
-
-MOD = "m"
-SHIFT = "s"
+from .silting import MOD, SHIFT
 
 
 class HomSpace:
@@ -139,8 +136,11 @@ class TwoTermHomCalc:
         if sig == (MOD, MOD, MOD) or sig == (SHIFT, SHIFT, SHIFT):
             return {u: g[u].mul(f[u]) for u in self.cat.q.vertices}
         if sig == (MOD, MOD, SHIFT):
-            lift = self._lift_p1(src[1], mid[1], f)
-            return self._postcompose_p1(tgt[1], g, lift)
+            # g: mid -> P(v)[1] is a map out of mid's P1, pulled back
+            # along the chain lift of f
+            pres_x, pres_y, f1 = self._lift_p1(src[1], mid[1], f)
+            P = self.cat.indecs[self.cat.proj(tgt[1])]
+            return pres_y.p1.pull_back(self.cat.alg, g, P, f1, pres_x.p1)
         if sig == (MOD, SHIFT, SHIFT):
             pres = self.cat.min_projective_presentation(src[1])
             P_mid = self.cat.indecs[self.cat.proj(mid[1])]
@@ -171,13 +171,6 @@ class TwoTermHomCalc:
                     out.a[i][j] = sol[i]
             f1[u] = out
         return (pres_x, pres_y, f1)
-
-    def _postcompose_p1(self, v, eta, lift):
-        """(eta: Y -> P(v)[1]) composed with a chain lift of f: X -> Y."""
-        pres_x, pres_y, f1 = lift
-        P = self.cat.indecs[self.cat.proj(v)]
-        eta_mats = expand(self.cat.alg, pres_y.p1.slots, pres_y.p1.split(eta, P), P)
-        return pres_x.p1.gather({u: eta_mats[u].mul(f1[u]) for u in self.cat.q.vertices})
 
 
 class EndPresentation:
@@ -210,9 +203,7 @@ def end_algebra(silt, cat, calc=None):
     """
     if calc is None:
         calc = TwoTermHomCalc(cat)
-    summands = [(MOD, x) for x in sorted(silt.modules)] + [
-        (SHIFT, v) for v in sorted(silt.shifted)
-    ]
+    summands = silt.summands()
     n = len(summands)
     h = [[calc.space(summands[i], summands[j]).dim for j in range(n)] for i in range(n)]
     for i in range(n):

@@ -8,12 +8,17 @@ a pivot that is not +-1, through a Fraction.  Integral data reduced over
 unit pivots therefore stay int, and mixed int/Fraction arithmetic is exact
 on any other input.  There is no floating point anywhere in the package.
 
-Rational systems are solved by `solve`, which reads the solution off the
-canonical kernel of the augmented matrix, so one elimination routine
-(`Subspace.add`) serves reduction, kernels and solves alike.
-`integer_solve` is the separate integer-solution routine for exponent
-systems; it also solves them modulo 2, as E x + 2 y = s.  `block_diag`
-is the one builder of block-diagonal matrices.
+The routines, one per job:
+  * `Subspace` keeps a span in reduced row echelon form; its `add` is the
+    one elimination routine, serving reduction, quotient coordinates,
+    ranks and pivots alike;
+  * `kernel` (and `nullspace`, its basis) reads the canonical right
+    kernel off the `Subspace` of a matrix's rows;
+  * `solve` reads the solution of a rational system off the canonical
+    kernel of the augmented matrix;
+  * `integer_solve` is the separate integer-solution routine for exponent
+    systems; it also solves them modulo 2, as E x + 2 y = s;
+  * `block_diag` is the one builder of block-diagonal matrices.
 """
 
 from fractions import Fraction
@@ -88,19 +93,6 @@ class Mat:
 
     def flatten(self):
         return [x for row in self.a for x in row]
-
-
-
-def stack_rows(mats, cols):
-    """Vertically stack matrices that all have `cols` columns."""
-    rows = sum(m.rows for m in mats)
-    out = Mat(rows, cols)
-    r = 0
-    for m in mats:
-        for i in range(m.rows):
-            out.a[r] = list(m.a[i])
-            r += 1
-    return out
 
 
 def block_diag(blocks):
@@ -183,29 +175,21 @@ class Subspace:
         return [list(r) for r in self.rows]
 
 
-
-def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    sp = Subspace(mat.cols)
-    for i in range(mat.rows):
-        sp.add(mat.a[i])
-    return sp.basis(), list(sp.pivots)
-
-
 def kernel(mat):
     """Canonical basis of the right kernel and its free columns.
 
     Basis vector k is 1 at free[k] and 0 at every other free column, so the
     coordinates of a kernel vector in this basis are its free entries.
     """
-    rows, pivots = rref(mat)
-    pivset = set(pivots)
-    free = [j for j in range(mat.cols) if j not in pivset]
+    sp = Subspace(mat.cols)
+    for row in mat.a:
+        sp.add(row)
+    free = sp.complement_indices()
     basis = []
     for f in free:
         v = [F0] * mat.cols
         v[f] = F1
-        for row, p in zip(rows, pivots):
+        for row, p in zip(sp.rows, sp.pivots):
             v[p] = -row[f]
         basis.append(v)
     return basis, free

@@ -10,7 +10,6 @@ do not fail the report.
 
 import csv
 import io
-from contextlib import contextmanager
 
 from . import formulas as F
 from .census import (
@@ -21,6 +20,7 @@ from .census import (
     classify_family,
     delta_enumerated,
     get_catalog,
+    naming_failure,
     star_crosscheck,
     tm_lambda_enumerated,
 )
@@ -87,17 +87,6 @@ SUMMARY_ROWS = (
 
 # (quantity, the linear-census labels whose class counts it sums), in report order
 LABEL_ROWS = (("b247", ("B2", "B4", "B7")), ("b3", ("B3",)), ("b5", ("B5",)), ("b6", ("B6",)))
-
-
-@contextmanager
-def _naming_row(quantity, spec):
-    """Re-raise an AssertionError with the table quantity, family and rank."""
-    try:
-        yield
-    except AssertionError as exc:
-        raise AssertionError(
-            f"{exc} (table {quantity}, family {spec.family}, n={spec.n})"
-        ) from exc
 
 
 class TableReport:
@@ -173,8 +162,9 @@ def verify_tables(enum_max_d=5, deep_ss=False):
     rows, and the silting objects, read by the tm_lambda_enum rows (those
     without a shifted summand) and the star_bijection rows; a row whose
     rank was not run is left empty.  One A_n tilting list per
-    n <= ENUM_MAX_A serves t_a and delta_row.  deep_ss also reads a_ss of
-    the rank-7 linear census off its census_summary, keeping no record.
+    n <= ENUM_MAX_A serves t_a and delta_row.  The a_t_b3 row, and with
+    deep_ss the rank-7 a_ss_lambda row, read a census_summary that keeps
+    no record.
     An enum_max_d above N_CAP raises ValueError before any enumeration.
     """
     if enum_max_d > N_CAP:
@@ -193,7 +183,7 @@ def verify_tables(enum_max_d=5, deep_ss=False):
         enum = None
         if n <= ENUM_MAX_A:
             spec = AlgebraSpec("a", n)
-            with _naming_row("t_a", spec):
+            with naming_failure(spec, lambda: "table t_a"):
                 a_tilts[n] = enumerate_tilting_modules(get_catalog(spec))
             enum = len(a_tilts[n])
         rep.add("t_a", n, enum=enum, formula=F.t_a(n), reference=ref)
@@ -201,7 +191,7 @@ def verify_tables(enum_max_d=5, deep_ss=False):
         enum = None
         if n in a_tilts:
             spec = AlgebraSpec("a", n)
-            with _naming_row("delta_row", spec):
+            with naming_failure(spec, lambda: "table delta_row"):
                 enum = delta_enumerated(get_catalog(spec), a_tilts[n])
         rep.add("delta_row", n, enum=enum, formula=F.delta_row(n), reference=ref)
     for (n, m), ref in sorted(REFERENCE["tm_a"].items()):
@@ -211,7 +201,7 @@ def verify_tables(enum_max_d=5, deep_ss=False):
         if ("d-linear", n) in objects:
             spec = AlgebraSpec("d-linear", n)
             tilts = [s for s in objects[("d-linear", n)] if not s.shifted]
-            with _naming_row("tm_lambda_enum", spec):
+            with naming_failure(spec, lambda: "table tm_lambda_enum"):
                 enum = tm_lambda_enumerated(get_catalog(spec), tilts, m)
             rep.add("tm_lambda_enum", (n, m), enum=enum, formula=F.tm_lambda(n, m))
     for n, ref in REFERENCE["a_nht_a"].items():
@@ -231,7 +221,8 @@ def verify_tables(enum_max_d=5, deep_ss=False):
             rep.add("c_part", (n, i), formula=F.c_part(n, i), reference=ref)
     rep.add("a_s_mu", 5, formula=F.a_s_mu(5), reference=REFERENCE["a_s_mu"][5])
     # tilted algebras of the 3-vertex reversed line, enumerated
-    _, bsum = classify_family(AlgebraSpec("b", 3))
+    spec = AlgebraSpec("b", 3)
+    bsum = census_summary(spec, census_records(spec))
     rep.add("a_t_b3", 3, enum=bsum.a_t, formula=F.A_T_B3, reference=REFERENCE["a_t_b3"])
     for key, labels in LABEL_ROWS:
         for n, ref in REFERENCE[key].items():

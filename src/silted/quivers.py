@@ -500,7 +500,8 @@ class CoverStep:
 
     A map from P to a module Y is given by its generator images, laid out
     as one vector of Hom(P, Y)-coordinates: slot by slot, a vector of
-    Y at the slot's vertex.  `split` and `gather` read that layout.
+    Y at the slot's vertex.  `split` and `gather` read that layout, and
+    `pull_back` precomposes such a map with a map into P.
     """
 
     __slots__ = ("slots", "gens", "gen_positions", "P", "cover", "K", "incl")
@@ -531,6 +532,13 @@ class CoverStep:
         for v, pos in zip(self.slots, self.gen_positions):
             out.extend(mats[v].column(pos))
         return out
+
+    def pull_back(self, alg, vec, target, maps, onto):
+        """The Hom(onto.P, target)-coordinates of the map P -> target with
+        coordinates vec composed with `maps`, per-vertex matrices of a map
+        from onto.P into P."""
+        images = expand(alg, self.slots, self.split(vec, target), target)
+        return onto.gather({u: images[u].mul(maps[u]) for u in images})
 
 
 def expand(alg, slots, gen_images, target):

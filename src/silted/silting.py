@@ -9,13 +9,20 @@ it vanishes at v, and shifted projectives are mutually compatible.  Basic
 Module compatibilities are read off the catalog's tau-orthogonality table
 (`ARCatalog.tau_orthogonal`): one bitset per module x of the y with
 Hom(X, tau Y) = 0, filled lazily one row per module.  The compatibility
-graph, `modules_compatible` and `is_presilting` all read that table.
+graph and `is_presilting` both read that table.
 
 Basic tilting modules are the silting objects without a shifted summand,
 so they come from the same enumerator run on the module-only graph.
+`completions` reads the mutation of a silting object off the graph too:
+the summands other than the one removed are a clique, and each of their
+common neighbours completes it.
 """
 
 from dataclasses import dataclass
+
+# the tags of a 2-term object's summands: a module id or a shifted vertex
+MOD = "m"
+SHIFT = "s"
 
 
 @dataclass(frozen=True)
@@ -38,15 +45,11 @@ class TwoTermObject:
         return len(self.modules) + len(self.shifted)
 
     def summands(self):
-        return [("m", x) for x in self.modules] + [("s", v) for v in self.shifted]
+        return [(MOD, x) for x in self.modules] + [(SHIFT, v) for v in self.shifted]
 
 
 def two_term(modules=(), shifted=()):
     return TwoTermObject(tuple(modules), tuple(shifted))
-
-
-def modules_compatible(cat, x, y):
-    return bool(cat.tau_orthogonal(x) >> y & 1 and cat.tau_orthogonal(y) >> x & 1)
 
 
 def module_shift_compatible(cat, x, v):
@@ -106,9 +109,10 @@ class CompatibilityGraph:
         self.shift_vertices = list(cat.q.vertices) if include_shifts else []
         self.size = self.nmod + len(self.shift_vertices)
         self.adj = [0] * self.size
+        orth = cat.tau_orthogonal
         for x in range(self.nmod):
             for y in range(x + 1, self.nmod):
-                if modules_compatible(cat, x, y):
+                if orth(x) >> y & 1 and orth(y) >> x & 1:
                     self.adj[x] |= 1 << y
                     self.adj[y] |= 1 << x
         for k, v in enumerate(self.shift_vertices):
@@ -176,25 +180,19 @@ def enumerate_tilting_modules(cat, graph=None):
     return enumerate_two_term_silting(cat, graph or CompatibilityGraph(cat, include_shifts=False))
 
 
-def completions(cat, s, removed):
-    """Silting completions of s minus one summand; used as a mutation check."""
-    rest = [x for x in s.summands() if x != removed]
-    keep_mods = [x for (k, x) in rest if k == "m"]
-    keep_shifts = [v for (k, v) in rest if k == "s"]
-    found = []
-    for x in range(len(cat)):
-        if x in keep_mods:
-            continue
-        cand = two_term(keep_mods + [x], keep_shifts)
-        if is_silting(cand, cat):
-            found.append(cand)
-    for v in cat.q.vertices:
-        if v in keep_shifts:
-            continue
-        cand = two_term(keep_mods, keep_shifts + [v])
-        if is_silting(cand, cat):
-            found.append(cand)
-    return found
+def completions(graph, s, removed):
+    """The silting objects holding every summand of s but `removed` (one of
+    s.summands()), in node order: the rest plus one common neighbour, in
+    the CompatibilityGraph graph, of the rest's nodes.  No node neighbours
+    itself, so no summand of the rest is among them."""
+    rest = 0
+    common = (1 << graph.size) - 1
+    for kind, x in s.summands():
+        if (kind, x) != removed:
+            node = x if kind == MOD else graph.nmod + graph.shift_vertices.index(x)
+            rest |= 1 << node
+            common &= graph.adj[node]
+    return [graph.node_object(rest | 1 << i) for i in range(graph.size) if common >> i & 1]
 
 
 def silting_object_json(cat, s):

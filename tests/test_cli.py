@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from silted import cli
-from silted.census import AlgebraSpec, classify_family, records_to_json
+from silted.census import FAMILIES, AlgebraSpec, classify_family, records_to_json
 from silted.cli import run
+from silted.quivers import b_reversed_quiver, d_linear_quiver, d_reversed_quiver, line_quiver
 
 
 def capture(argv):
@@ -54,9 +55,33 @@ def test_enumerate_a1():
     assert len(doc["silting"]) == 2
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(capsys):
     code, _ = capture(["enumerate", "--family", "d-linear", "--n", "8", "--n-cap", "6"])
     assert code == 1
+    # the census's own cap check speaks for both commands
+    enumerate_err = capsys.readouterr().err
+    assert run(["classify", "--family", "d-linear", "--n", "8", "--n-cap", "6"]) == 1
+    assert enumerate_err == capsys.readouterr().err == (
+        "error: n=8 exceeds the enumeration cap 6\n"
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_below_its_least_rank_is_usage_error(family, capsys):
+    fam = FAMILIES[family]
+    least = fam.least_rank
+    assert run(["classify", "--family", family, "--n", str(least - 1)]) == 1
+    assert f"needs n >= {least}" in capsys.readouterr().err
+    # the table's builder is the family's quiver
+    builder = {
+        "a": line_quiver,
+        "d-linear": d_linear_quiver,
+        "d-reversed": d_reversed_quiver,
+        "b": b_reversed_quiver,
+    }[family]
+    for n in (least, least + 2):
+        got, want = fam.quiver(n), builder(n)
+        assert got.vertices == want.vertices and got.arrows == want.arrows
 
 
 @pytest.mark.parametrize("fmt", [["--summary-only"], ["--format", "csv"], ["--format", "md"]])

@@ -25,6 +25,39 @@ def test_delta_row_sums_to_catalan():
         assert sum(F.delta_row(n)) == F.t_a(n)
 
 
+def test_delta_closed_form_matches_the_recursion():
+    """The Catalan-triangle closed form equals the slice recursion it
+    replaced, delta(n, i) = delta(n, i - 1) + delta(n - 1, i)."""
+    rec = {}
+    for n in range(1, 61):
+        for i in range(1, n + 1):
+            rec[n, i] = 1 if i == 1 else rec[n, i - 1] + rec.get((n - 1, i), 0)
+            assert F.delta(n, i) == rec[n, i]
+    assert F.delta(5, 0) == F.delta(5, 6) == F.delta(0, 1) == 0
+
+
+def test_count_answers_far_beyond_the_recursion_depth(capsys):
+    # a recursive delta runs out of stack near n = 500
+    assert run(["count", "delta", "--n", "1500"]) == 0
+    assert run(["count", "tm_a", "--n", "1500", "--m", "1"]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert out[0].startswith("[1, 1499, ") and int(out[1]) > 0
+
+
+def test_count_reports_a_recursion_error(monkeypatch, capsys):
+    from silted import cli
+
+    def too_deep(n, m):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli.QUANTITIES, "delta", too_deep)
+    assert run(["count", "delta", "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: maximum recursion depth exceeded\n"
+    assert "Traceback" not in captured.err
+
+
 def test_delta_edge_identities():
     for n in range(3, 9):
         assert F.delta(n, 2) == n - 1

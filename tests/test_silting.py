@@ -6,6 +6,8 @@ import pytest
 from silted.arcatalog import ARCatalog, knit_catalog
 from silted.quivers import b_reversed_quiver, d_linear_quiver, d_reversed_quiver, line_quiver
 from silted.silting import (
+    MOD,
+    SHIFT,
     CompatibilityGraph,
     completions,
     enumerate_tilting_modules,
@@ -224,11 +226,49 @@ def test_mutation_two_completions():
     """Removing one summand of a silting object leaves exactly two ways back."""
     for q in (line_quiver(2), line_quiver(3), line_quiver(4), d_linear_quiver(4)):
         cat = knit_catalog(q)
+        graph = CompatibilityGraph(cat)
         for s in enumerate_two_term_silting(cat):
             for summand in s.summands():
-                comps = completions(cat, s, summand)
+                comps = completions(graph, s, summand)
                 assert len(comps) == 2
                 assert s in comps
+
+
+def _completions_by_scan(cat, s, removed):
+    """The silting objects holding every summand of s but `removed`, found
+    by trying every catalog module and every vertex with is_silting."""
+    rest = [t for t in s.summands() if t != removed]
+    mods = [x for kind, x in rest if kind == MOD]
+    shifts = [v for kind, v in rest if kind == SHIFT]
+    cands = [two_term(mods + [x], shifts) for x in range(len(cat)) if x not in mods]
+    cands += [two_term(mods, shifts + [v]) for v in cat.q.vertices if v not in shifts]
+    return [t for t in cands if is_silting(t, cat)]
+
+
+@pytest.mark.parametrize(
+    "q, checks",
+    [
+        (d_linear_quiver(5), 910),
+        (d_reversed_quiver(5), 910),
+        (line_quiver(5), 660),
+        (b_reversed_quiver(5), 660),
+    ],
+    ids=["lambda5", "gamma5", "a5", "b5"],
+)
+def test_completions_match_the_catalog_scan(q, checks):
+    """On every almost-complete object, the common neighbours in the
+    compatibility graph are the completions a scan of the catalog finds,
+    and there are exactly two of them (Adachi-Iyama-Reiten mutation)."""
+    cat = knit_catalog(q)
+    graph = CompatibilityGraph(cat)
+    seen = 0
+    for s in enumerate_two_term_silting(cat, graph):
+        for summand in s.summands():
+            comps = completions(graph, s, summand)
+            assert comps == _completions_by_scan(cat, s, summand)
+            assert len(comps) == 2 and s in comps
+            seen += 1
+    assert seen == checks
 
 
 def test_silting_json():
