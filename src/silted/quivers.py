@@ -18,8 +18,19 @@ whether the ideal is monomial and which paths generate it.  Global dimension, st
 gentle all read those words: a monomial ideal's global dimension comes
 from overlapping them (Green-Happel-Zacharia), and the string (S1)-(S3)
 and gentle conditions are conditions on the length-2 words
-(Butler-Ringel).  Otherwise global dimension iterates the cover step on
-simples.
+(Butler-Ringel).
+
+Any other ideal settles each simple's projective dimension up to 2 from
+dimensions read off the same spans.  Every relation has length >= 2, so
+I lies in rad^2, the first syzygy of S_v is rad P(v), and the second is
+covered by the sum of P(w) over the arrows v -> w.  The rule is: pd S_v
+is 0 when the first syzygy is 0; it is 1 when the second is 0; and it
+is 2 when the second is nonzero and its dimension equals the sum of
+dim P(t(rho)) over the relations rho starting at v.  That sum maps onto
+the second syzygy for any generating set of I (Bongartz 1983), so equal
+dimensions make the second syzygy projective.  Global dimension iterates
+the cover step only on the simples this leaves open, which with minimal
+relations are exactly those of projective dimension >= 3.
 """
 
 from dataclasses import dataclass
@@ -606,34 +617,90 @@ def _act_along_path(mod, vec, path):
 
 
 def global_dimension(qwr):
-    """Max over simples of the minimal projective resolution length.
+    """Max over simples S_v of the projective dimension pd S_v.
 
-    A monomial ideal reads it off its minimal generating words; any other
-    resolves each simple with projective_cover.
+    A monomial ideal reads it off its minimal generating words.  Any other
+    settles each simple from the dimensions of its first two syzygies
+    (`_pds_from_dimensions`):
+      pd S_v = 0 when Omega^1 S_v = 0;
+      pd S_v = 1 when Omega^1 S_v != 0 and Omega^2 S_v = 0;
+      pd S_v = 2 when Omega^2 S_v != 0 and dim Omega^2 S_v is the sum of
+        dim P(t(rho)) over the relations rho with source v.
+    For any set of relations generating I, the sum of those P(t(rho)) maps
+    onto Omega^2 S_v (Bongartz 1983, Algebras and quadratic forms), so in
+    the third case the map is an isomorphism and Omega^2 S_v projective.
+    Only the simples the rule leaves open are resolved with
+    projective_cover; with minimal relations they are exactly the simples
+    of pd >= 3.
     """
     words = _ideal_words(qwr)
     if words is not None:
         return _gldim_from_words(qwr.quiver, words)
-    return _gldim_by_resolution(qwr)
+    pds = _pds_from_dimensions(qwr)
+    best = max((pd for pd in pds.values() if pd is not None), default=0)
+    undecided = [v for v, pd in pds.items() if pd is None]
+    if undecided:
+        alg = BoundAlgebra(qwr)
+        best = max(best, *(_pd_by_resolution(alg, v) for v in undecided))
+    return best
+
+
+def _pds_from_dimensions(qwr):
+    """Per vertex v, pd S_v when global_dimension's rule settles it, else
+    None.
+
+    dim P(x) is the number of paths out of x less the dimension of I
+    there.  Every relation has length >= 2, so I lies in rad^2 and the top
+    of Omega^1 S_v = rad P(v) is spanned by the arrows a: v -> w.  Hence
+      dim Omega^1 S_v = dim P(v) - 1,
+      dim Omega^2 S_v = (sum over a: v -> w of dim P(w)) - dim Omega^1 S_v.
+    As kQ is free, Omega^2 S_v is e_v I / (sum over those a of a I), and
+    e_v I is that sum plus the rho A over the relations rho with source v,
+    which is why the P(t(rho)) map onto it.  With minimal relations that
+    map is a projective cover, so a simple left open has pd S_v >= 3.
+    """
+    q = qwr.quiver
+    spans = qwr.ideal_spans()
+    dim = {v: 0 for v in q.vertices}
+    for (x, u), plist in q.path_table().items():
+        dim[x] += len(plist) - spans[(x, u)].dim
+    onto = {v: 0 for v in q.vertices}
+    for rel in qwr.relations:
+        onto[rel.source] += dim[rel.target]
+    pds = {}
+    for v in q.vertices:
+        omega1 = dim[v] - 1
+        omega2 = sum(dim[a.tgt] for a in q.out_arrows[v]) - omega1
+        if omega1 == 0:
+            pds[v] = 0
+        elif omega2 == 0:
+            pds[v] = 1
+        elif omega2 == onto[v]:
+            pds[v] = 2
+        else:
+            pds[v] = None
+    return pds
 
 
 def _gldim_by_resolution(qwr):
     """Global dimension from the minimal projective resolution of each simple."""
     alg = BoundAlgebra(qwr)
-    best = 0
-    cap = len(qwr.quiver.vertices) + 1
-    for v in qwr.quiver.vertices:
-        mod = simple_module(qwr.quiver, v)
-        pd = 0
-        while True:
-            mod = projective_cover(alg, mod).K
-            if mod.is_zero():
-                break
-            pd += 1
-            if pd > cap:
-                raise AssertionError("projective resolution did not terminate")
-        best = max(best, pd)
-    return best
+    return max((_pd_by_resolution(alg, v) for v in qwr.quiver.vertices), default=0)
+
+
+def _pd_by_resolution(alg, v):
+    """pd S_v: the length of the minimal projective resolution of the
+    simple at v, iterating projective_cover."""
+    cap = len(alg.q.vertices) + 1
+    mod = simple_module(alg.q, v)
+    pd = 0
+    while True:
+        mod = projective_cover(alg, mod).K
+        if mod.is_zero():
+            return pd
+        pd += 1
+        if pd > cap:
+            raise AssertionError("projective resolution did not terminate")
 
 
 def _gldim_from_words(q, words):

@@ -28,11 +28,14 @@ from silted.quivers import (
     Arrow,
     Path,
     Quiver,
+    BoundAlgebra,
     QuiverWithRelations,
     Relation,
     _gldim_by_resolution,
     _gldim_from_words,
     _ideal_words,
+    _pd_by_resolution,
+    _pds_from_dimensions,
     _relation_words,
     _span_words,
     _UNSET,
@@ -313,6 +316,29 @@ def test_gldim_from_relation_words_matches_resolution_on_censuses():
         gldims = [_gldim_from_words(cq.quiver, _ideal_words(cq)) for cq in distinct.values()]
         assert gldims == [_gldim_by_resolution(cq) for cq in distinct.values()]
         assert set(gldims) == ({0, 1, 2} if family == "b" else {0, 1, 2, 3})
+
+
+def test_pds_from_dimensions_match_resolution_on_censuses():
+    """Each simple the dimension rule decides has the resolution's pd, and
+    each it leaves open has pd >= 3, on every distinct component.  Every
+    non-monomial component here has gldim 2, so the simples left open
+    lie on monomial components."""
+    for family, n in (("d-linear", 5), ("d-reversed", 5), ("b", 6)):
+        distinct = {}
+        for cq in census_components(family, n):
+            distinct.setdefault(json.dumps(qwr_to_json(cq), sort_keys=True), cq)
+        undecided = 0
+        for cq in distinct.values():
+            alg = BoundAlgebra(cq)
+            for v, pd in _pds_from_dimensions(cq).items():
+                resolved = _pd_by_resolution(alg, v)
+                if pd is None:
+                    assert resolved >= 3
+                    undecided += 1
+                else:
+                    assert pd == resolved
+        if family == "d-linear":
+            assert undecided > 0
 
 
 def test_relation_words_match_the_ideal_spans_on_censuses():

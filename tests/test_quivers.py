@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+import silted.quivers
 from silted.quivers import (
     Arrow,
     _gldim_by_resolution,
     _gldim_from_words,
     _ideal_words,
+    _pds_from_dimensions,
     _solve_rescaling,
     Path,
     Quiver,
@@ -205,9 +207,59 @@ def test_gldim_from_relation_words_hand_built():
         assert global_dimension(qwr) == want
 
 
-def test_gldim_commutativity_square_resolves():
-    assert global_dimension(square_qwr()) == 2
+def test_gldim_commutativity_square_resolves(monkeypatch):
+    """The square's gldim is read off dimensions, with no BoundAlgebra."""
+    def no_algebra(qwr):
+        raise AssertionError("built a BoundAlgebra")
+
     assert _gldim_by_resolution(square_qwr()) == 2
+    assert _pds_from_dimensions(square_qwr()) == {1: 2, 2: 1, 3: 1, 4: 0}
+    monkeypatch.setattr(silted.quivers, "BoundAlgebra", no_algebra)
+    assert global_dimension(square_qwr()) == 2
+
+
+def count_covers(monkeypatch):
+    """The modules passed to projective_cover from now on."""
+    calls = []
+    real = silted.quivers.projective_cover
+
+    def counting(alg, mod):
+        calls.append(mod)
+        return real(alg, mod)
+
+    monkeypatch.setattr(silted.quivers, "projective_cover", counting)
+    return calls
+
+
+def test_square_then_arrow_with_overlapping_zero_relations_resolves_to_three(monkeypatch):
+    """1 -> {2,3} -> 4 -> 5 with p - q killed at 1 -> 4 and both paths
+    2 -> 4 -> 5 and 3 -> 4 -> 5 killed: Omega^2 S_1 is S_4, so pd S_1 = 3."""
+    sq = square_qwr()
+    q = Quiver(sq.quiver.vertices + (5,), sq.quiver.arrows + (Arrow(5, 4, 5),))
+    qwr = QuiverWithRelations(q, [
+        sq.relations[0],
+        monomial_relation(path(q, 3, 5)),
+        monomial_relation(path(q, 4, 5)),
+    ])
+    assert _ideal_words(qwr) is None
+    assert _pds_from_dimensions(qwr) == {1: None, 2: 2, 3: 2, 4: 1, 5: 0}
+    covers = count_covers(monkeypatch)
+    assert global_dimension(qwr) == 3
+    assert covers
+    assert _gldim_by_resolution(qwr) == 3
+
+
+def test_non_minimal_relations_fall_back_to_the_resolution(monkeypatch):
+    """The square's relation twice: the onto map from P(4) + P(4) cannot be
+    injective, so S_1 is left open and resolved."""
+    sq = square_qwr()
+    twice = Relation(tuple((2 * c, p) for c, p in sq.relations[0].terms))
+    qwr = QuiverWithRelations(sq.quiver, [sq.relations[0], twice])
+    assert _pds_from_dimensions(qwr) == {1: None, 2: 1, 3: 1, 4: 0}
+    covers = count_covers(monkeypatch)
+    assert global_dimension(qwr) == 2
+    assert covers
+    assert _gldim_by_resolution(qwr) == 2
 
 
 # ---- effective intersections ----------------------------------------------
