@@ -13,23 +13,26 @@ Compositions through the shifted part are chain-level: module maps are
 lifted to presentations and composed on the P1 component.  Each
 composite of two basis maps is computed once per calc object and stored
 as coordinates: `TwoTermHomCalc.mult(src, mid, tgt)` is the table of
-structure constants C[a][b] = coords(g_b . f_a).  `end_algebra` works
-on coordinate vectors and this table alone.  That is exact because
+structure constants C[a][b] = coords(g_b . f_a).  That is exact because
 composition is bilinear and `coords` is linear, and because a class in
 Hom(M, P(v)[1]) has a well-defined composite with any map P(v)[1] ->
 P(w)[1]: post-composition sends maps that factor through the syzygy
 inclusion of M into maps that factor through it, so the composite of any
-representative lands in the same class.  The output is a quiver with
-relations (the Gabriel quiver with a minimal generating set of the kernel
-ideal), audited against the total hom dimension.
+representative lands in the same class.
 
-The paths of the Gabriel quiver come from its one `Quiver.path_table`:
-the evaluation map, the kernels and the relation terms are indexed by it,
-and the presented algebra is bound over the same quiver, so the audit
-does not enumerate the paths again.
-Every linear solve (hom-space coordinates, cover and syzygy lifts) is
-`linalg.solve`, and the spaces Hom(M, P(v)[1]) are cokernels of the
-catalog's `restriction_image`.
+End(S) is Schurian: a hom space between distinct summands has dimension
+<= 1.  mod End(S) is the heart of the t-structure S induces (Buan-Zhou
+2016), inside D^[-1,0](H) with finitely many indecomposables for Dynkin
+H, so End(S) is representation-finite, and so is eEnd(S)e for e = e_i +
+e_j (Auslander-Reiten-Smalo 1995): a directed Kronecker algebra with
+dim Hom(i, j) arrows, hence one arrow at most.  `end_algebra` asserts it
+(it holds on every object of Lambda_4,7,8, Gamma_4,7,8, A_8 and B_7,8)
+and reads one scalar per composite.  The output is the Gabriel quiver
+with a minimal generating set of the kernel ideal, audited against the
+total hom dimension; its one `Quiver.path_table` indexes the evaluations,
+the kernels and the relation terms.  Every linear solve (hom-space
+coordinates, cover and syzygy lifts) is `linalg.solve`, and the spaces
+Hom(M, P(v)[1]) are cokernels of the catalog's `restriction_image`.
 """
 
 from .linalg import F0, F1, Mat, Subspace, nullspace, solve
@@ -62,6 +65,7 @@ class TwoTermHomCalc:
     def __init__(self, catalog):
         self.cat = catalog
         self._space_cache = {}
+        self._dim_cache = {}
         self._mult_cache = {}
 
     # ---- space constructors -------------------------------------------
@@ -80,6 +84,12 @@ class TwoTermHomCalc:
             sp = HomSpace([])
         self._space_cache[key] = sp
         return sp
+
+    def dim(self, src, tgt):
+        """dim Hom(src, tgt), kept in a per-calc table."""
+        if (src, tgt) not in self._dim_cache:
+            self._dim_cache[(src, tgt)] = self.space(src, tgt).dim
+        return self._dim_cache[(src, tgt)]
 
     def _ms_space(self, x, v):
         sub = self.cat.restriction_image(x, self.cat.proj(v))
@@ -196,91 +206,77 @@ def end_algebra(silt, cat, calc=None):
     """Quiver-with-relations presentation of End(S) for a 2-term silting S.
 
     Vertices are numbered 1..n in summand order (modules ascending, then
-    shifted vertices ascending); arrows are canonical rad/rad^2 witnesses;
-    relations are a minimal generating set of the kernel of the path
-    evaluation map onto the hom algebra.  The dimension of the presented
-    algebra is checked against the total hom dimension.
+    shifted vertices ascending).  End(S) is Schurian (Buan-Zhou 2016 with
+    Auslander-Reiten-Smalo 1995, see above; asserted here), so a composite
+    is the scalar mult(...)[0][0][0], and the relations minimally generate
+    the kernels of the path evaluation, one 1 x m (0 x m where h = 0) row
+    per vertex pair.
     """
     if calc is None:
         calc = TwoTermHomCalc(cat)
     summands = silt.summands()
     n = len(summands)
-    h = [[calc.space(summands[i], summands[j]).dim for j in range(n)] for i in range(n)]
+    h = [[calc.dim(summands[i], summands[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         if h[i][i] != 1:
             raise AssertionError("summand is not a brick; End extraction invalid")
         for j in range(n):
             if i != j and h[i][j] and h[j][i]:
                 raise AssertionError("hom spaces both ways; End is not directed")
+            if i != j and h[i][j] > 1:
+                raise AssertionError("End(S) is not Schurian: a hom space between summands has dim > 1")
 
-    # The arrows i -> j are the basis maps of Hom(i, j) that leave the span
-    # of rad^2 (composites through a third summand), taken greedily; an
-    # arrow's witness is the index of its basis map.
+    def composite(i, k, j):
+        return calc.mult(summands[i], summands[k], summands[j])[0][0][0]
+
+    # i -> j is an arrow when no composite through a third summand is nonzero
     arrows = []
-    witnesses = {}
-    arrow_id = 1
     for i in range(n):
         for j in range(n):
-            if i == j or h[i][j] == 0:
-                continue
-            span = Subspace(h[i][j])
-            for k in range(n):
-                if k == i or k == j or h[i][k] == 0 or h[k][j] == 0:
-                    continue
-                for row in calc.mult(summands[i], summands[k], summands[j]):
-                    for vec in row:
-                        span.add(vec)
-            for t in range(h[i][j]):
-                e = [F0] * h[i][j]
-                e[t] = F1
-                if span.add(e):
-                    arrows.append(Arrow(arrow_id, i + 1, j + 1))
-                    witnesses[arrow_id] = t
-                    arrow_id += 1
+            if i != j and h[i][j] and not any(
+                h[i][k] and h[k][j] and composite(i, k, j)
+                for k in range(n) if k != i and k != j
+            ):
+                arrows.append(Arrow(len(arrows) + 1, i + 1, j + 1))
 
     gq = Quiver(range(1, n + 1), arrows)
     if not gq.is_acyclic():
         raise AssertionError("Gabriel quiver of End is not acyclic")
 
-    # Every path of length >= 1 is evaluated, in order of length, from its
-    # prefix's coordinates and the mult table of its last arrow.
-    # relations are appended in (u, v) order, so the pairs are sorted
-    pairs = sorted(key for key in gq.path_table() if key[0] != key[1])
+    # paths are evaluated by length, from their prefix's scalar; relations
+    # are appended in (u, v) order, so the pairs are sorted
+    table = gq.path_table()
+    pairs = sorted(key for key in table if key[0] != key[1])
     evals = {}
-    for p in sorted((p for key in pairs for p in gq.paths(*key)), key=lambda p: p.length):
-        a = gq.arrow_by_id[p.arrows[-1]]
-        t = witnesses[a.id]
-        out = [F0] * h[p.source - 1][p.target - 1]
-        if p.length == 1:
-            out[t] = F1
-        else:
-            table = calc.mult(summands[p.source - 1], summands[a.src - 1], summands[a.tgt - 1])
-            for x, row in zip(evals[p.arrows[:-1]], table):
-                if x:
-                    for d, c in enumerate(row[t]):
-                        out[d] += x * c
-        evals[p.arrows] = out
+    for p in sorted((p for key in pairs for p in table[key]), key=lambda p: p.length):
+        x = F1
+        if p.length > 1:
+            i, t = p.source - 1, p.target - 1
+            x = evals[p.arrows[:-1]]
+            x = x * composite(i, gq.arrow_by_id[p.arrows[-1]].src - 1, t) if x and h[i][t] else F0
+        evals[p.arrows] = x
 
-    # kernels of the evaluation, per ordered vertex pair
+    # kernels of the evaluation, per ordered vertex pair; one path with a
+    # nonzero evaluation has none
     kernels = {}
     for (u, v) in pairs:
-        plist = gq.paths(u, v)
-        emat = Mat.from_columns([evals[p.arrows] for p in plist], h[u - 1][v - 1])
-        kvecs = nullspace(emat)
-        for kv in kvecs:
-            for c, p in zip(kv, plist):
-                if c != 0 and p.length == 1:
-                    raise AssertionError("kernel meets the arrow span")
-        kernels[(u, v)] = kvecs
+        row = [evals[p.arrows] for p in table[(u, v)]]
+        if len(row) > 1 or not row[0]:
+            kvecs = nullspace(Mat(1, len(row), [row]) if h[u - 1][v - 1] else Mat(0, len(row)))
+            for kv in kvecs:
+                for c, p in zip(kv, table[(u, v)]):
+                    if c != 0 and p.length == 1:
+                        raise AssertionError("kernel meets the arrow span")
+            kernels[(u, v)] = kvecs
 
     # a kernel vector is a minimal relation when it leaves the span of the
     # kernels one arrow shorter, extended by that arrow on either side
     relations = []
     for (u, v) in pairs:
-        kvecs = kernels[(u, v)]
+        kvecs = kernels.get((u, v))
         if not kvecs:
             continue
-        plist = gq.paths(u, v)
+        plist = table[(u, v)]
         boundary = Subspace(len(plist))
         for a in gq.out_arrows[u]:
             for kv in kernels.get((a.tgt, v), []):

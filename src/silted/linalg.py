@@ -141,8 +141,10 @@ class Subspace:
     def add(self, vec):
         """Insert a vector; returns True if the dimension grew."""
         v = self.reduce(vec)
-        piv = next((j for j in range(self.ambient) if v[j] != 0), None)
-        if piv is None:
+        for piv in range(self.ambient):
+            if v[piv] != 0:
+                break
+        else:
             return False
         # a unit pivot is its own inverse, so integral rows stay int
         pv = v[piv]

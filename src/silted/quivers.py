@@ -2,11 +2,11 @@
 
 A quiver with relations is the presentation format for every algebra in
 this package: the Dynkin path algebras we enumerate over and the
-endomorphism algebras the census produces.  Paths compose left to right
-(`p.then(q)` walks p first).  The paths of kQ depend on Q alone: each
-`Quiver` builds its `path_table` once, and every presentation over it
-(the End, its bound algebra, a component) indexes that one table.  All
-linear algebra on path spaces is exact.
+endomorphism algebras the census produces.  A `Path` is a named tuple
+(source, target, arrows); paths compose left to right (`p.then(q)` walks
+p first).  The paths of kQ depend on Q alone: each `Quiver` builds its
+`path_table` once, and every presentation over it (the End, its bound
+algebra, a component) indexes that one table.  Linear algebra is exact.
 
 `projective_cover` is the package's one projective-resolution engine: a
 single cover/kernel step 0 -> K -> P -> M -> 0 over a bound quiver
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel, nullspace
 
@@ -80,8 +81,10 @@ class Quiver:
     def path_table(self):
         """Per vertex pair (u, v) joined by a path, the paths u -> v sorted
         by (length, arrow id sequence): the diagonal first, then the pairs
-        as lengthwise extension reaches them.  Built on first use and kept;
-        raises ValueError on an oriented cycle."""
+        as lengthwise extension reaches them.  A round of extension holds
+        one length, and Paths u -> w compare by arrows, so each round is
+        sorted as tuples.  Built on first use and kept; raises ValueError
+        on an oriented cycle."""
         if self._paths is not None:
             return self._paths
         if not self.is_acyclic():
@@ -92,12 +95,12 @@ class Quiver:
             nxt = {}
             for (u, v), plist in frontier.items():
                 for a in self.out_arrows[v]:
-                    nxt.setdefault((u, a.tgt), []).extend(p.then(arrow_path(a)) for p in plist)
+                    w, tail = a.tgt, (a.id,)
+                    nxt.setdefault((u, w), []).extend(Path(u, w, p.arrows + tail) for p in plist)
             for key, plist in nxt.items():
+                plist.sort()
                 table.setdefault(key, []).extend(plist)
             frontier = nxt
-        for plist in table.values():
-            plist.sort(key=lambda p: (p.length, p.arrows))
         self._pathindex = {key: {p: i for i, p in enumerate(plist)} for key, plist in table.items()}
         self._paths = table
         return table
@@ -124,13 +127,12 @@ class Quiver:
     def arrow_product(self, vec, u, v, a, left):
         """The product a.x (left) or x.a of the arrow a with x = vec over the
         paths u -> v, as a vector over the paths of the product."""
-        ap = arrow_path(a)
         src, tgt = (a.src, v) if left else (u, a.tgt)
         idx = self.path_index(src, tgt)
         out = [F0] * len(idx)
         for x, p in zip(vec, self.paths(u, v)):
             if x != 0:
-                out[idx[ap.then(p) if left else p.then(ap)]] += x
+                out[idx[Path(src, tgt, (a.id,) + p.arrows if left else p.arrows + (a.id,))]] += x
         return out
 
     def opposite(self):
@@ -153,8 +155,7 @@ class Quiver:
         return f"Quiver({list(self.vertices)}, {[(a.id, a.src, a.tgt) for a in self.arrows]})"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A composable arrow sequence; length 0 is the trivial path at a vertex."""
 
     source: int
@@ -365,15 +366,14 @@ def is_gentle(qwr):
 
 def connected_components(qwr):
     """Split along underlying undirected connectivity; relations follow
-    the component containing their support.
-
-    When the path table of qwr's quiver is already built, each
-    component's quiver takes its entries for the vertex pairs inside the
-    component, and when qwr's ideal is built, the component takes its
-    spans there (shared, not copied) instead of building its own.  That is
-    exact: the paths between two vertices of a component are the same in
-    both quivers and sorted alike, closing the ideal under arrows never
-    leaves a component, and a subspace has one reduced row echelon form.
+    the component containing their support.  A connected qwr is its own
+    component.  Otherwise, when the path table of qwr's quiver is built,
+    each component's quiver takes its entries for the vertex pairs inside
+    it, and when qwr's ideal is built, the component takes its spans there
+    (shared, not copied).  That is exact: the paths between two vertices
+    of a component are the same in both quivers and sorted alike, closing
+    the ideal under arrows never leaves a component, and a subspace has
+    one reduced row echelon form.
     """
     q = qwr.quiver
     parent = {v: v for v in q.vertices}
@@ -391,6 +391,8 @@ def connected_components(qwr):
     groups = {}
     for v in q.vertices:
         groups.setdefault(find(v), []).append(v)
+    if len(groups) == 1:
+        return [qwr]
     comps = []
     for root in sorted(groups, key=lambda r: min(groups[r])):
         verts = sorted(groups[root])

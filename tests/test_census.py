@@ -372,6 +372,27 @@ def test_components_inherit_the_end_ideal():
                 assert (got.ambient, got.rows, got.pivots) == (span.ambient, span.rows, span.pivots)
 
 
+def test_connected_ends_are_their_own_component_and_the_rest_split():
+    for family, n in (("d-linear", 5), ("b", 5)):
+        cat = get_catalog(AlgebraSpec(family, n))
+        calc = TwoTermHomCalc(cat)
+        connected = split = 0
+        for s in enumerate_two_term_silting(cat):
+            qwr = end_algebra(s, cat, calc).qwr
+            comps = connected_components(qwr)
+            if len(comps) == 1:
+                assert comps[0] is qwr
+                connected += 1
+                continue
+            split += 1
+            assert sum(len(c.quiver.vertices) for c in comps) == len(qwr.quiver.vertices)
+            for cq in comps:
+                for key, span in cq.ideal_spans().items():
+                    assert span is qwr.ideal_spans()[key]
+                    assert cq.quiver.paths(*key) is qwr.quiver.paths(*key)
+        assert connected > 0 and split > 0
+
+
 def d_silting_lists(n):
     """The silting objects of the reversed-source and the linear D_n."""
     return [

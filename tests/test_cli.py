@@ -162,6 +162,31 @@ def test_invariant_failure_names_the_silting_object(monkeypatch, capsys):
     assert "silting object P(1)[1] + P(2)[1] + P(3)[1] + P(4)[1]" in err
 
 
+def test_non_schurian_end_names_the_silting_object(monkeypatch, capsys):
+    from silted.census import _object_text, get_catalog
+    from silted.endo import TwoTermHomCalc
+    from silted.silting import enumerate_two_term_silting
+
+    real = TwoTermHomCalc.dim
+    widened = []
+
+    def dim(self, src, tgt):
+        d = real(self, src, tgt)
+        if src != tgt and d == 1 and not widened:
+            widened.append((src, tgt))
+        return 2 if (src, tgt) in widened else d
+
+    monkeypatch.setattr(TwoTermHomCalc, "dim", dim)
+    code = run(["classify", "--family", "d-linear", "--n", "4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "End(S) is not Schurian" in err
+    assert "family d-linear" in err and "n=4" in err
+    cat = get_catalog(AlgebraSpec("d-linear", 4))
+    met = next(s for s in enumerate_two_term_silting(cat) if set(widened[0]) <= set(s.summands()))
+    assert _object_text(cat, met) + ")" in err
+
+
 def test_tables_failure_names_the_row(monkeypatch, capsys):
     import silted.papertables
 

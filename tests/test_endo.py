@@ -4,9 +4,14 @@ import random
 import pytest
 
 from silted.arcatalog import knit_catalog
-from silted.endo import MOD, SHIFT, TwoTermHomCalc, end_algebra
+from silted.census import AlgebraSpec, get_catalog, realization_complex
+from silted.endo import MOD, SHIFT, EndPresentation, TwoTermHomCalc, end_algebra
+from silted.linalg import F0, F1, Mat, Subspace, nullspace
 from silted.quivers import (
+    Arrow,
+    Quiver,
     QuiverWithRelations,
+    Relation,
     are_isomorphic,
     b_reversed_quiver,
     d_linear_quiver,
@@ -252,3 +257,99 @@ def test_end_relation_coefficients_stay_integral(q):
         for c, _ in rel.terms
     ]
     assert coefs and all(type(c) is int for c in coefs)
+
+
+# ---- the general presentation as an oracle -------------------------------------
+
+
+def span_nullspace_end_algebra(silt, cat, calc):
+    """End(S) presented for hom spaces of any dimension: rad^2 as the span
+    of the composites through a third summand, arrows as the basis maps
+    outside it, and relations from the nullspace of the h x m evaluation
+    matrix per vertex pair.  end_algebra reads one scalar per composite
+    instead; the two must agree wherever End(S) is Schurian."""
+    summands = silt.summands()
+    n = len(summands)
+    h = [[calc.space(summands[i], summands[j]).dim for j in range(n)] for i in range(n)]
+    arrows = []
+    witnesses = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j or h[i][j] == 0:
+                continue
+            span = Subspace(h[i][j])
+            for k in range(n):
+                if k == i or k == j or h[i][k] == 0 or h[k][j] == 0:
+                    continue
+                for row in calc.mult(summands[i], summands[k], summands[j]):
+                    for vec in row:
+                        span.add(vec)
+            for t in range(h[i][j]):
+                e = [F0] * h[i][j]
+                e[t] = F1
+                if span.add(e):
+                    arrows.append(Arrow(len(arrows) + 1, i + 1, j + 1))
+                    witnesses[len(arrows)] = t
+    gq = Quiver(range(1, n + 1), arrows)
+    pairs = sorted(key for key in gq.path_table() if key[0] != key[1])
+    evals = {}
+    for p in sorted((p for key in pairs for p in gq.paths(*key)), key=lambda p: p.length):
+        a = gq.arrow_by_id[p.arrows[-1]]
+        t = witnesses[a.id]
+        out = [F0] * h[p.source - 1][p.target - 1]
+        if p.length == 1:
+            out[t] = F1
+        else:
+            table = calc.mult(summands[p.source - 1], summands[a.src - 1], summands[a.tgt - 1])
+            for x, row in zip(evals[p.arrows[:-1]], table):
+                if x:
+                    for d, c in enumerate(row[t]):
+                        out[d] += x * c
+        evals[p.arrows] = out
+    kernels = {}
+    for (u, v) in pairs:
+        plist = gq.paths(u, v)
+        kernels[(u, v)] = nullspace(Mat.from_columns([evals[p.arrows] for p in plist], h[u - 1][v - 1]))
+    relations = []
+    for (u, v) in pairs:
+        plist = gq.paths(u, v)
+        boundary = Subspace(len(plist))
+        for a in gq.out_arrows[u]:
+            for kv in kernels.get((a.tgt, v), []):
+                boundary.add(gq.arrow_product(kv, a.tgt, v, a, left=True))
+        for a in gq.in_arrows[v]:
+            for kv in kernels.get((u, a.src), []):
+                boundary.add(gq.arrow_product(kv, u, a.src, a, left=False))
+        for kv in kernels[(u, v)]:
+            if boundary.add(kv):
+                relations.append(Relation(tuple((c, p) for c, p in zip(kv, plist) if c != 0)))
+    provenance = {
+        idx + 1: {"dim": list(cat.dim_vector(s[1]))} if s[0] == MOD else {"shifted": s[1]}
+        for idx, s in enumerate(summands)
+    }
+    total = sum(sum(row) for row in h)
+    return EndPresentation(QuiverWithRelations(gq, relations), summands, provenance, h, total)
+
+
+def assert_matches_oracle(s, cat, calc):
+    ep = end_algebra(s, cat, calc)
+    ref = span_nullspace_end_algebra(s, cat, calc)
+    assert ep.to_json() == ref.to_json()
+    assert ep.hom_dims == ref.hom_dims
+    assert ep.total_dim == ref.total_dim
+
+
+@pytest.mark.parametrize("family,n", [("d-linear", 5), ("d-reversed", 5), ("a", 5), ("b", 6)])
+def test_scalar_end_matches_the_span_nullspace_oracle(family, n):
+    cat = get_catalog(AlgebraSpec(family, n))
+    calc = TwoTermHomCalc(cat)
+    for s in enumerate_two_term_silting(cat):
+        assert_matches_oracle(s, cat, calc)
+
+
+@pytest.mark.parametrize("orientation,family", [("linear", "d-linear"), ("reversed", "d-reversed")])
+def test_realization_end_matches_the_span_nullspace_oracle(orientation, family):
+    s, _, _ = realization_complex(orientation, 5)
+    cat = get_catalog(AlgebraSpec(family, 5))
+    assert_matches_oracle(s, cat, TwoTermHomCalc(cat))
+

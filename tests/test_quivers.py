@@ -448,6 +448,62 @@ def test_connected_components():
     assert sum(len(c.quiver.arrows) for c in comps) == 1
 
 
+def parallel_and_diamond_quivers():
+    """Parallel arrows 1 => 2 continued by 2 => 3, a diamond 1 -> {2, 3}
+    -> 4 whose arrow ids run against the path order, and both in one
+    quiver."""
+    parallel = Quiver([1, 2, 3], [Arrow(4, 1, 2), Arrow(1, 1, 2), Arrow(3, 2, 3), Arrow(2, 2, 3)])
+    diamond = Quiver([1, 2, 3, 4], [Arrow(5, 1, 3), Arrow(2, 1, 2), Arrow(1, 3, 4), Arrow(7, 2, 4)])
+    both = Quiver(
+        [1, 2, 3, 4, 5],
+        [Arrow(1, 1, 2), Arrow(9, 1, 2), Arrow(2, 2, 3), Arrow(3, 2, 4), Arrow(4, 3, 5), Arrow(8, 4, 5)],
+    )
+    return [parallel, diamond, both]
+
+
+def assert_path_table_sorted(q):
+    for (u, v), plist in q.path_table().items():
+        assert plist == sorted(plist, key=lambda p: (p.length, p.arrows))
+        assert all(type(p) is Path and (p.source, p.target) == (u, v) for p in plist)
+        assert q.path_index(u, v) == {p: i for i, p in enumerate(plist)}
+
+
+def test_path_table_sorted_on_parallel_arrows_and_diamonds():
+    for q in parallel_and_diamond_quivers():
+        assert_path_table_sorted(q)
+    parallel, diamond, both = parallel_and_diamond_quivers()
+    assert [p.arrows for p in parallel.paths(1, 3)] == [(1, 2), (1, 3), (4, 2), (4, 3)]
+    assert [p.arrows for p in diamond.paths(1, 4)] == [(2, 7), (5, 1)]
+    assert len(both.paths(1, 5)) == 4
+
+
+def test_path_table_sorted_on_every_lambda5_end():
+    from silted.arcatalog import knit_catalog
+    from silted.endo import TwoTermHomCalc, end_algebra
+    from silted.silting import enumerate_two_term_silting
+
+    cat = knit_catalog(d_linear_quiver(5))
+    calc = TwoTermHomCalc(cat)
+    for s in enumerate_two_term_silting(cat):
+        assert_path_table_sorted(end_algebra(s, cat, calc).qwr.quiver)
+
+
+def test_path_is_a_named_tuple():
+    p = Path(1, 3, (1, 2))
+    assert p == (1, 3, (1, 2)) and p.length == 2
+    assert trivial_path(2).length == 0
+    assert Path(1, 2, (1,)).then(Path(2, 3, (2,))) == p
+    with pytest.raises(ValueError):
+        Path(1, 2, (1,)).then(Path(3, 4, (3,)))
+
+
+def test_connected_presentation_is_its_own_component():
+    qwr = square_qwr()
+    assert connected_components(qwr)[0] is qwr and len(connected_components(qwr)) == 1
+    plain = QuiverWithRelations(d_linear_quiver(5))
+    assert connected_components(plain) == [plain]
+
+
 def test_components_share_a_built_ideal():
     q = Quiver([1, 2, 3, 4, 5], [Arrow(1, 2, 1), Arrow(2, 3, 2), Arrow(3, 5, 4)])
     qwr = QuiverWithRelations(q, [monomial_relation(path(q, 2, 1))])
