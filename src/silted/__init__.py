@@ -1,5 +1,10 @@
 """Exact enumeration and classification of 2-term silting complexes and
-silted algebras over Dynkin path algebras of types A_n and D_n."""
+silted algebras over Dynkin path algebras of types A_n and D_n.
+
+The closed forms (`silted.formulas`) and the reference tables
+(`silted.papertables`) are not imported here: `from silted import
+formulas` loads them on demand, and the CLI imports them only for its
+count and tables commands."""
 
 from .quivers import (
     Arrow,
@@ -41,6 +46,5 @@ from .census import (
     realization_complex,
     star_crosscheck,
 )
-from . import formulas
 
 __version__ = "0.1.0"

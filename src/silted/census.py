@@ -26,7 +26,6 @@ table row it was met at.
 
 from collections import Counter, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .arcatalog import knit_catalog
 from .endo import TwoTermHomCalc, end_algebra
@@ -74,17 +73,16 @@ COMPONENT_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    family: str
-    n: int
+class AlgebraSpec(namedtuple("AlgebraSpec", "family n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        least = FAMILIES[self.family].least_rank
-        if self.n < least:
-            raise ValueError(f"family {self.family} needs n >= {least}")
+    def __new__(cls, family, n):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        least = FAMILIES[family].least_rank
+        if n < least:
+            raise ValueError(f"family {family} needs n >= {least}")
+        return super().__new__(cls, family, n)
 
 
 _catalog_memo = {}
@@ -100,26 +98,51 @@ def get_catalog(spec):
 # ---- per-record classification --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
-    qwr: QuiverWithRelations
-    gldim: int
-    label: str
-    is_string: bool
-    is_gentle: bool
-    iso_class: int
+ComponentInfo = namedtuple("ComponentInfo", "qwr gldim label is_string is_gentle iso_class")
 
 
-@dataclass
 class ClassificationRecord:
-    silting: object
-    end: object
-    components: list
-    gldim: int
-    family_label: str
-    is_tilting_module: bool
-    is_tilting_complex: bool
-    iso_class: int = -1  # numbered by census_records as it yields the record
+    """One silting object's census entry.  Mutable: census_records numbers
+    iso_class (-1 until then) as it yields the record."""
+
+    _fields = (
+        "silting",
+        "end",
+        "components",
+        "gldim",
+        "family_label",
+        "is_tilting_module",
+        "is_tilting_complex",
+        "iso_class",
+    )
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(
+        self, silting, end, components, gldim, family_label,
+        is_tilting_module, is_tilting_complex, iso_class=-1,
+    ):
+        self.silting = silting
+        self.end = end
+        self.components = components
+        self.gldim = gldim
+        self.family_label = family_label
+        self.is_tilting_module = is_tilting_module
+        self.is_tilting_complex = is_tilting_complex
+        self.iso_class = iso_class
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"ClassificationRecord({fields})"
 
     def to_json(self, cat):
         return {
@@ -143,19 +166,13 @@ class ClassificationRecord:
         }
 
 
-@dataclass
-class CensusSummary:
-    family: str
-    n: int
-    n_silting: int
-    n_tilting: int
-    a_s: int
-    a_t: int
-    a_ss: int
-    a_ht: int
-    a_nht: int
-    label_class_counts: dict
-    overlaps: list
+class CensusSummary(
+    namedtuple(
+        "CensusSummary",
+        "family n n_silting n_tilting a_s a_t a_ss a_ht a_nht label_class_counts overlaps",
+    )
+):
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -9,6 +9,9 @@ Subcommands
 
 Deterministic output: identical invocations print identical bytes.
 
+Start-up loads the census pipeline only: `formulas` is imported by the
+count command alone and `papertables` by tables alone.
+
 Exit codes
   0  success
   1  usage error (bad arguments, n above the cap, unknown quantity)
@@ -20,7 +23,6 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import formulas as F
 from .census import (
     FAMILIES,
     N_CAP,
@@ -34,34 +36,34 @@ from .census import (
     silting_json,
 )
 
-
+# each quantity is called with the formulas module, which only count imports
 QUANTITIES = {
-    "t_a": lambda n, m: F.t_a(n),
-    "t_lambda": lambda n, m: F.t_lambda(n),
-    "delta": lambda n, m: F.delta_row(n),
-    "tm_a": lambda n, m: F.tm_a(n, m),
-    "tm_lambda": lambda n, m: F.tm_lambda(n, m),
-    "a_t_a": lambda n, m: F.a_t_a(n),
-    "a_nht_a": lambda n, m: F.a_nht_a(n),
-    "a_t2_a": lambda n, m: F.a_t2_a(n),
-    "a_t3_a": lambda n, m: F.a_t3_a(n),
-    "a_t4_a": lambda n, m: F.a_t4_a(n),
-    "a_ht_lambda": lambda n, m: F.a_ht_lambda(n),
-    "a_nht_lambda": lambda n, m: F.a_nht_lambda(n),
-    "a_t_lambda": lambda n, m: F.a_t_lambda(n),
-    "a_t1_lambda": lambda n, m: F.a_t1_lambda(n),
-    "a_t2_lambda": lambda n, m: F.a_t2_lambda(n),
-    "a_ss": lambda n, m: F.a_ss_lambda(n),
-    "a_ss_lambda": lambda n, m: F.a_ss_lambda(n),
-    "a_ss_gamma": lambda n, m: F.a_ss_gamma(n),
-    "a_s_lambda": lambda n, m: F.a_s_lambda(n),
-    "a_s_gamma": lambda n, m: F.a_s_gamma(n),
-    "a_s_mu": lambda n, m: F.a_s_mu(n),
+    "t_a": lambda F, n, m: F.t_a(n),
+    "t_lambda": lambda F, n, m: F.t_lambda(n),
+    "delta": lambda F, n, m: F.delta_row(n),
+    "tm_a": lambda F, n, m: F.tm_a(n, m),
+    "tm_lambda": lambda F, n, m: F.tm_lambda(n, m),
+    "a_t_a": lambda F, n, m: F.a_t_a(n),
+    "a_nht_a": lambda F, n, m: F.a_nht_a(n),
+    "a_t2_a": lambda F, n, m: F.a_t2_a(n),
+    "a_t3_a": lambda F, n, m: F.a_t3_a(n),
+    "a_t4_a": lambda F, n, m: F.a_t4_a(n),
+    "a_ht_lambda": lambda F, n, m: F.a_ht_lambda(n),
+    "a_nht_lambda": lambda F, n, m: F.a_nht_lambda(n),
+    "a_t_lambda": lambda F, n, m: F.a_t_lambda(n),
+    "a_t1_lambda": lambda F, n, m: F.a_t1_lambda(n),
+    "a_t2_lambda": lambda F, n, m: F.a_t2_lambda(n),
+    "a_ss": lambda F, n, m: F.a_ss_lambda(n),
+    "a_ss_lambda": lambda F, n, m: F.a_ss_lambda(n),
+    "a_ss_gamma": lambda F, n, m: F.a_ss_gamma(n),
+    "a_s_lambda": lambda F, n, m: F.a_s_lambda(n),
+    "a_s_gamma": lambda F, n, m: F.a_s_gamma(n),
+    "a_s_mu": lambda F, n, m: F.a_s_mu(n),
 }
 for _i in range(1, 15):
-    QUANTITIES[f"c{_i}"] = (lambda i: lambda n, m: F.c_part(n, i))(_i)
+    QUANTITIES[f"c{_i}"] = (lambda i: lambda F, n, m: F.c_part(n, i))(_i)
 for _k in ("b1", "b247", "b3", "b5", "b6", "b7"):
-    QUANTITIES[_k] = (lambda k: lambda n, m: F.b_part(n, k))(_k)
+    QUANTITIES[_k] = (lambda k: lambda F, n, m: F.b_part(n, k))(_k)
 
 
 def _build_parser():
@@ -272,8 +274,10 @@ def run(argv):
             return 0
 
         if args.cmd == "count":
+            from . import formulas
+
             try:
-                val = QUANTITIES[args.quantity](args.n, args.m)
+                val = QUANTITIES[args.quantity](formulas, args.n, args.m)
             except (ValueError, KeyError, RecursionError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1

@@ -240,12 +240,13 @@ def end_algebra(silt, cat, calc=None):
                 arrows.append(Arrow(len(arrows) + 1, i + 1, j + 1))
 
     gq = Quiver(range(1, n + 1), arrows)
-    if not gq.is_acyclic():
-        raise AssertionError("Gabriel quiver of End is not acyclic")
+    try:
+        table = gq.path_table()  # raises ValueError on an oriented cycle
+    except ValueError:
+        raise AssertionError("Gabriel quiver of End is not acyclic") from None
 
     # paths are evaluated by length, from their prefix's scalar; relations
     # are appended in (u, v) order, so the pairs are sorted
-    table = gq.path_table()
     pairs = sorted(key for key in table if key[0] != key[1])
     evals = {}
     for p in sorted((p for key in pairs for p in table[key]), key=lambda p: p.length):

@@ -33,20 +33,15 @@ the cover step only on the simples this leaves open, which with minimal
 relations are exactly those of projective dimension >= 3.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import NamedTuple
 
 from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel, nullspace
 
 
-@dataclass(frozen=True)
-class Arrow:
-    id: int
-    src: int
-    tgt: int
+Arrow = namedtuple("Arrow", "id src tgt")
 
 
 class Quiver:
@@ -155,12 +150,11 @@ class Quiver:
         return f"Quiver({list(self.vertices)}, {[(a.id, a.src, a.tgt) for a in self.arrows]})"
 
 
-class Path(NamedTuple):
-    """A composable arrow sequence; length 0 is the trivial path at a vertex."""
+class Path(namedtuple("Path", "source target arrows")):
+    """A composable arrow sequence; length 0 is the trivial path at a vertex.
+    arrows holds the arrow ids in traversal order."""
 
-    source: int
-    target: int
-    arrows: tuple  # arrow ids in traversal order
+    __slots__ = ()
 
     @property
     def length(self):
@@ -176,28 +170,29 @@ def trivial_path(v):
     return Path(v, v, ())
 
 
-def arrow_path(a: Arrow):
+def arrow_path(a):
     return Path(a.src, a.tgt, (a.id,))
 
 
-@dataclass(frozen=True)
-class Relation:
-    """An exact-rational combination of parallel paths of length >= 2."""
+class Relation(namedtuple("Relation", "terms")):
+    """An exact-rational combination of parallel paths of length >= 2:
+    terms is a tuple of (coefficient, Path)."""
 
-    terms: tuple  # of (coefficient, Path)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms):
+        if not terms:
             raise ValueError("empty relation")
-        src = self.terms[0][1].source
-        tgt = self.terms[0][1].target
-        for c, p in self.terms:
+        src = terms[0][1].source
+        tgt = terms[0][1].target
+        for c, p in terms:
             if c == 0:
                 raise ValueError("zero coefficient in relation")
             if p.source != src or p.target != tgt:
                 raise ValueError("relation terms are not parallel")
             if p.length < 2:
                 raise ValueError("relation contains a path of length < 2")
+        return super().__new__(cls, terms)
 
     @property
     def source(self):

@@ -18,27 +18,26 @@ the summands other than the one removed are a clique, and each of their
 common neighbours completes it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # the tags of a 2-term object's summands: a module id or a shifted vertex
 MOD = "m"
 SHIFT = "s"
 
 
-@dataclass(frozen=True)
-class TwoTermObject:
-    """A multiset-free 2-term complex: module ids plus shifted vertices."""
+class TwoTermObject(namedtuple("TwoTermObject", "modules shifted")):
+    """A multiset-free 2-term complex: module ids plus shifted vertices,
+    each kept sorted."""
 
-    modules: tuple
-    shifted: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "modules", tuple(sorted(self.modules)))
-        object.__setattr__(self, "shifted", tuple(sorted(self.shifted)))
-        if len(set(self.modules)) != len(self.modules):
+    def __new__(cls, modules, shifted):
+        modules, shifted = tuple(sorted(modules)), tuple(sorted(shifted))
+        if len(set(modules)) != len(modules):
             raise ValueError("repeated module summand")
-        if len(set(self.shifted)) != len(self.shifted):
+        if len(set(shifted)) != len(shifted):
             raise ValueError("repeated shifted summand")
+        return super().__new__(cls, modules, shifted)
 
     @property
     def size(self):

@@ -7,6 +7,8 @@ import pytest
 from silted import formulas as F
 from silted.census import (
     AlgebraSpec,
+    ClassificationRecord,
+    ComponentInfo,
     _ComponentMemo,
     _iso_key,
     census_records,
@@ -45,7 +47,7 @@ from silted.quivers import (
     iso_fingerprint,
     qwr_to_json,
 )
-from silted.silting import enumerate_tilting_modules, enumerate_two_term_silting, is_silting
+from silted.silting import enumerate_tilting_modules, enumerate_two_term_silting, is_silting, two_term
 
 
 def test_spec_validation():
@@ -582,3 +584,40 @@ def test_only_component_class_representatives_keep_built_presentations(monkeypat
         qwr = info.qwr
         assert qwr.quiver._paths is None and qwr.quiver._pathindex is None
         assert qwr._ideal is None and qwr._words is _UNSET and qwr._fingerprint is None
+
+
+def test_census_value_classes():
+    with pytest.raises(ValueError, match="unknown family"):
+        AlgebraSpec("e", 6)
+    with pytest.raises(ValueError, match="needs n >= 4"):
+        AlgebraSpec("d-linear", 3)
+    spec = AlgebraSpec("a", 3)
+    assert repr(spec) == "AlgebraSpec(family='a', n=3)"
+    assert spec == AlgebraSpec("a", 3) and hash(spec) == hash(("a", 3))
+    info = ComponentInfo(None, 1, "hereditary-tilted", True, True, 0)
+    assert repr(info) == (
+        "ComponentInfo(qwr=None, gldim=1, label='hereditary-tilted', is_string=True, "
+        "is_gentle=True, iso_class=0)"
+    )
+    assert hash(info) == hash((None, 1, "hereditary-tilted", True, True, 0))
+    for value, field in ((spec, "n"), (info, "iso_class")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    # a record stays mutable, since census_records numbers it as it goes
+    rec = ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True)
+    assert repr(rec) == (
+        "ClassificationRecord(silting=TwoTermObject(modules=(1,), shifted=(2,)), end=None, "
+        "components=[], gldim=0, family_label='x', is_tilting_module=False, "
+        "is_tilting_complex=True, iso_class=-1)"
+    )
+    assert rec == ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True)
+    rec.iso_class = 4
+    assert rec.iso_class == 4
+    assert rec != ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True)
+    with pytest.raises(TypeError):
+        hash(rec)
+
+    _, summary = classify_family(spec)
+    assert repr(summary).startswith("CensusSummary(family='a', n=3, n_silting=14, n_tilting=5, ")
+    assert summary == census_summary(spec, census_records(spec))

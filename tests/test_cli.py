@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,33 @@ def test_non_schurian_end_names_the_silting_object(monkeypatch, capsys):
     assert _object_text(cat, met) + ")" in err
 
 
+def test_cyclic_end_quiver_is_an_invariant_failure(monkeypatch, capsys):
+    from silted.census import _object_text, get_catalog
+    from silted.endo import TwoTermHomCalc
+    from silted.silting import enumerate_two_term_silting
+
+    cat = get_catalog(AlgebraSpec("a", 3))
+    first = next(iter(enumerate_two_term_silting(cat)))
+    cycle = first.summands()
+    real = TwoTermHomCalc.dim
+
+    # Hom between the first object's summands becomes a directed 3-cycle;
+    # no composite of two of its arrows is parallel to a third, so no
+    # composite is evaluated
+    def dim(self, src, tgt):
+        if src != tgt and src in cycle and tgt in cycle:
+            return int(cycle.index(tgt) == (cycle.index(src) + 1) % 3)
+        return real(self, src, tgt)
+
+    monkeypatch.setattr(TwoTermHomCalc, "dim", dim)
+    code = run(["classify", "--family", "a", "--n", "3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Gabriel quiver of End is not acyclic" in err
+    assert "family a" in err and "n=3" in err
+    assert _object_text(cat, first) + ")" in err
+
+
 def test_tables_failure_names_the_row(monkeypatch, capsys):
     import silted.papertables
 
@@ -320,6 +348,29 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "42"
+
+
+_STARTUP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import silted.cli
+print(sorted(set(sys.argv[2:]) & set(sys.modules)))
+from silted import formulas
+sys.exit(silted.cli.run(["count", "t_a", "--n", "6"]))
+"""
+
+
+def test_cli_start_up_skips_class_machinery_and_closed_forms():
+    # -S: no site, so no .pth file can preload a module the package avoids
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    unwanted = ["dataclasses", "inspect", "typing", "silted.formulas", "silted.papertables"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_PROBE, src, *unwanted],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n132\n"
 
 
 # ---- the JSON writer ----------------------------------------------------------

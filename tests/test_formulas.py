@@ -47,7 +47,7 @@ def test_count_answers_far_beyond_the_recursion_depth(capsys):
 def test_count_reports_a_recursion_error(monkeypatch, capsys):
     from silted import cli
 
-    def too_deep(n, m):
+    def too_deep(F, n, m):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setitem(cli.QUANTITIES, "delta", too_deep)

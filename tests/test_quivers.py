@@ -563,6 +563,30 @@ def test_relation_validation():
         Relation(((Fraction(1), path(q, 1)),))  # length-1 path
     with pytest.raises(ValueError):
         Relation(((Fraction(0), path(q, 2, 1)),))  # zero coefficient
+    with pytest.raises(ValueError, match="empty"):
+        Relation(())
+    q = line_quiver(4)
+    with pytest.raises(ValueError, match="parallel"):
+        Relation(((Fraction(1), path(q, 2, 1)), (Fraction(1), path(q, 3, 2))))
+
+
+def test_quiver_value_classes_are_frozen_values():
+    a = Arrow(1, 2, 3)
+    p = Path(3, 1, (2, 1))
+    rel = Relation(((Fraction(1), p),))
+    assert repr(a) == "Arrow(id=1, src=2, tgt=3)"
+    assert repr(p) == "Path(source=3, target=1, arrows=(2, 1))"
+    assert repr(rel) == "Relation(terms=((Fraction(1, 1), Path(source=3, target=1, arrows=(2, 1))),))"
+    # equal values compare and hash equal: relation tuples key the census's
+    # component memo
+    twin = monomial_relation(Path(3, 1, (2, 1)))
+    assert twin == rel and twin is not rel and hash(twin) == hash(rel)
+    assert {(rel,): "memo"}[(twin,)] == "memo"
+    assert a == Arrow(1, 2, 3) and a != Arrow(1, 2, 4)
+    assert hash(a) == hash((1, 2, 3)) and hash(rel) == hash((rel.terms,))
+    for value, field in ((a, "src"), (p, "arrows"), (rel, "terms")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
 
 
 def test_quiver_validation():

@@ -9,6 +9,7 @@ from silted.silting import (
     MOD,
     SHIFT,
     CompatibilityGraph,
+    TwoTermObject,
     completions,
     enumerate_tilting_modules,
     enumerate_two_term_silting,
@@ -18,6 +19,20 @@ from silted.silting import (
     silting_to_json,
     two_term,
 )
+
+
+def test_two_term_object_sorts_its_summands_and_rejects_repeats():
+    s = two_term([5, 2], [3, 1])
+    assert s.modules == (2, 5) and s.shifted == (1, 3)
+    assert repr(s) == "TwoTermObject(modules=(2, 5), shifted=(1, 3))"
+    assert s == TwoTermObject((2, 5), (1, 3)) and hash(s) == hash(((2, 5), (1, 3)))
+    assert s != two_term([2, 5], [1])
+    with pytest.raises(ValueError, match="repeated module"):
+        two_term([1, 1])
+    with pytest.raises(ValueError, match="repeated shifted"):
+        two_term([], [2, 2])
+    with pytest.raises(AttributeError):
+        s.modules = (2, 5)
 
 
 def _tau_orthogonal_reference(cat, x, y):
