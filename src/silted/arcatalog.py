@@ -92,6 +92,7 @@ class ARCatalog:
         self._inj_dims = {}
         self._hom_cache = {}
         self._tau_orth = {}
+        self._vanishing = {}
         self._pres_cache = {}
         self._knit()
 
@@ -306,6 +307,18 @@ class ARCatalog:
                     row |= 1 << y
             self._tau_orth[x] = row
         return row
+
+    def vanishing_at(self, v):
+        """Bitset of the modules X with X_v = 0, that is Hom(P(v), X) = 0,
+        filled the first time vertex v is asked for."""
+        bits = self._vanishing.get(v)
+        if bits is None:
+            bits = 0
+            for x, ind in enumerate(self.indecs):
+                if ind.dims[v] == 0:
+                    bits |= 1 << x
+            self._vanishing[v] = bits
+        return bits
 
     # ---- presentations and Ext ------------------------------------------
 

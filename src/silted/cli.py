@@ -13,13 +13,16 @@ Start-up loads the census pipeline only: `formulas` is imported by the
 count command alone and `papertables` by tables alone.
 
 Exit codes
-  0  success
-  1  usage error (bad arguments, n above the cap, unknown quantity)
-  2  verification mismatch (tables, realization)
-  3  internal invariant failed (a bug: an AssertionError inside a command)
+  0    success
+  1    usage error (bad arguments, n above the cap, unknown quantity)
+  2    verification mismatch (tables, realization)
+  3    internal invariant failed (a bug: an AssertionError inside a command)
+  141  stdout closed by its reader before all output was written
+       (128 + SIGPIPE, as a shell reports a process killed by that signal)
 """
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -110,10 +113,16 @@ class _Rendered(str):
     starts an indented line."""
 
 
+# the batch sizes of _json_dump: pieces per run, characters per write
+RUN_PIECES = 256
+WRITE_CHARS = 1 << 20
+
+
 def _json_dump(doc, write=None):
     """The text of json.dumps(doc, indent=2), byte for byte.  With write
-    given, the text goes to write piece by piece instead, never held
-    whole, and "" is returned.
+    given, the text goes to write in batches of about WRITE_CHARS
+    characters (1 MB of ASCII) instead, never held whole, and "" is
+    returned.
 
     The stdlib falls back to its pure-Python encoder whenever an indent is
     set; this writer knows the few types the CLI's documents hold: dicts
@@ -121,40 +130,93 @@ def _json_dump(doc, write=None):
     _Rendered text of such a value, written as that value would be.
     Anything else raises TypeError.
 
-    A tuple of plain ints is written once per indent: its text is kept in
-    a memo keyed by (tuple, indent) for the length of this call, so a
-    document that shares one tuple across many places (the catalog's
-    dimension vectors) joins each distinct one once.
+    Inline paths: a list item or dict value whose type is exactly int or
+    exactly str is written where it stands, with no call to _emit (a bool
+    is not an int there and a _Rendered text not a str, so both take the
+    call).  A tuple of plain ints is written once per indent: its text is
+    kept in a memo keyed by the indent and the tuple's id for the length
+    of this call, and a list item found there is written from the memo.
+    The id stands for the tuple itself, since the document holds every
+    tuple alive until the call returns, so two equal but distinct tuples
+    get an entry each and (1, True), equal to (1, 1), never gets the text
+    of (1, 1).  A document that shares one tuple across many places (the
+    catalog's dimension vectors) joins each distinct one once per depth.
+
+    Batching: with write given, _emit appends the pieces to one list and
+    calls flush after each list item that took a call; once the list
+    holds RUN_PIECES pieces they are joined into a run, and once the runs
+    reach WRITE_CHARS characters they are joined and handed to write.  So
+    a document streamed to an unbuffered stdout costs one write per batch,
+    not one per piece.  Without write, flush is None and nothing is
+    batched.
     """
     out = []
-    _emit(doc, "\n", write or out.append, {})
-    return "".join(out)
+    if write is None:
+        _emit(doc, "\n", out.append, {}, None)
+        return "".join(out)
+    runs = []
+    size = 0
+
+    def flush(final=False):
+        nonlocal size
+        if len(out) < RUN_PIECES and not final:
+            return
+        run = "".join(out)
+        out.clear()
+        runs.append(run)
+        size += len(run)
+        if final or size >= WRITE_CHARS:
+            write("".join(runs))
+            runs.clear()
+            size = 0
+
+    _emit(doc, "\n", out.append, {}, flush)
+    flush(True)
+    return ""
 
 
-def _emit(x, nl, put, memo):
+def _emit(x, nl, put, memo, flush):
     """Append the indented JSON text of x at the depth whose newline plus
-    indent is nl."""
+    indent is nl; flush (None or _json_dump's batcher) is called after
+    each list item that took a call."""
     t = type(x)
     if t is list or t is tuple:
         if not x:
             put("[]")
             return
         inner = nl + "  "
-        # every item a plain int (a bool is not): one join for the list.
-        # The memo is read only after this test: a tuple holding a list is
-        # unhashable, and (1, True) == (1, 1).
-        if list(map(type, x)).count(int) == len(x):
-            text = memo.get((x, nl)) if t is tuple else None
-            if text is None:
-                text = "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
-                if t is tuple:
-                    memo[x, nl] = text
+        if t is tuple:
+            tuples = memo.get(nl)
+            if tuples is None:
+                tuples = memo[nl] = {}
+            text = tuples.get(id(x))
+            if text is not None:
+                put(text)
+                return
+        # every item a plain int (a bool is not): one join
+        if type(x[0]) is int and list(map(type, x)).count(int) == len(x):
+            text = "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
+            if t is tuple:
+                tuples[id(x)] = text
             put(text)
             return
+        tuples = memo.get(inner)
+        if tuples is None:
+            tuples = memo[inner] = {}
         sep = "[" + inner
         for v in x:
-            put(sep)
-            _emit(v, inner, put, memo)
+            tv = type(v)
+            if tv is int:
+                put(sep + int.__repr__(v))
+            elif tv is str:
+                put(sep + _quote(v))
+            elif tv is tuple and (text := tuples.get(id(v))) is not None:
+                put(sep + text)
+            else:
+                put(sep)
+                _emit(v, inner, put, memo, flush)
+                if flush is not None:
+                    flush()
             sep = "," + inner
         put(nl + "]")
     elif t is dict:
@@ -166,8 +228,14 @@ def _emit(x, nl, put, memo):
         for k, v in x.items():
             if type(k) is not str:
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            put(sep + _quote(k) + ": ")
-            _emit(v, inner, put, memo)
+            tv = type(v)
+            if tv is int:
+                put(sep + _quote(k) + ": " + int.__repr__(v))
+            elif tv is str:
+                put(sep + _quote(k) + ": " + _quote(v))
+            else:
+                put(sep + _quote(k) + ": ")
+                _emit(v, inner, put, memo, flush)
             sep = "," + inner
         put(nl + "}")
     elif t is str:
@@ -238,7 +306,8 @@ def run(argv):
         if args.cmd == "enumerate":
             objs = silting_json(AlgebraSpec(args.family, args.n), args.n_cap)
             if args.format == "json":
-                print(_json_dump({"family": args.family, "n": args.n, "silting": objs}))
+                _json_dump({"family": args.family, "n": args.n, "silting": objs}, sys.stdout.write)
+                print()
             elif args.format == "csv":
                 print("modules,shifted")
                 for o in objs:
@@ -323,7 +392,16 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`silted enumerate ... | head`): point
+        # stdout at devnull so the interpreter's last flush cannot fail
+        # again, and exit as a process killed by SIGPIPE would report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,11 @@ it vanishes at v, and shifted projectives are mutually compatible.  Basic
 
 Module compatibilities are read off the catalog's tau-orthogonality table
 (`ARCatalog.tau_orthogonal`): one bitset per module x of the y with
-Hom(X, tau Y) = 0, filled lazily one row per module.  The compatibility
-graph and `is_presilting` both read that table.
+Hom(X, tau Y) = 0, filled lazily one row per module.  Shift compatibilities
+are read off its vanishing bitsets (`ARCatalog.vanishing_at`): one per
+vertex v of the modules X with X_v = 0, filled lazily too.  P(v) never
+vanishes at v, so that bitset also keeps P(v) and P(v)[1] apart.  The
+compatibility graph and `is_presilting` both read these bitsets.
 
 Basic tilting modules are the silting objects without a shifted summand,
 so they come from the same enumerator run on the module-only graph.
@@ -51,18 +54,14 @@ def two_term(modules=(), shifted=()):
     return TwoTermObject(tuple(modules), tuple(shifted))
 
 
-def module_shift_compatible(cat, x, v):
-    """P(v)[1] and X coexist iff Hom(P(v), X) = X_v vanishes."""
-    return cat.indecs[x].dims[v] == 0
-
-
 def is_presilting(s, cat):
     """Pairwise vanishing of positive-shift homs, via the tau-rigidity test.
 
     The module part is tau-rigid when every module's row of the catalog's
     tau-orthogonality table (filled lazily, one row per module) contains
     all the modules of s; that covers both directions of each pair and
-    X = Y.
+    X = Y.  P(v)[1] is compatible with the modules when all of them vanish
+    at v, which also rules out P(v) itself.
     """
     bits = 0
     for x in s.modules:
@@ -71,11 +70,8 @@ def is_presilting(s, cat):
         if bits & ~cat.tau_orthogonal(x):
             return False
     for v in s.shifted:
-        if cat.proj(v) in s.modules:
+        if bits & ~cat.vanishing_at(v):
             return False
-        for x in s.modules:
-            if not module_shift_compatible(cat, x, v):
-                return False
     return True
 
 
@@ -116,11 +112,11 @@ class CompatibilityGraph:
                     self.adj[y] |= 1 << x
         for k, v in enumerate(self.shift_vertices):
             node = self.nmod + k
-            pv = cat.proj(v)
+            vanish = cat.vanishing_at(v)
+            self.adj[node] |= vanish
             for x in range(self.nmod):
-                if x != pv and module_shift_compatible(cat, x, v):
+                if vanish >> x & 1:
                     self.adj[x] |= 1 << node
-                    self.adj[node] |= 1 << x
             for kk in range(len(self.shift_vertices)):
                 other = self.nmod + kk
                 if other != node:
@@ -141,21 +137,23 @@ class CompatibilityGraph:
         return two_term(mods, shifts)
 
     def cliques_of_size(self, k):
-        """All k-cliques (as bitsets), extended in ascending node order."""
-        out = []
+        """All k-cliques (as bitsets), extended in ascending node order.
 
-        def extend(clique, count, candidates):
+        A clique of `count` nodes is extended only while the candidates
+        left (each above the last node taken) could still fill it to k, so
+        a branch that cannot is cut before its call is made.
+        """
+        out = []
+        adj = self.adj
+
+        def extend(clique, count, cand):
             if count == k:
                 out.append(clique)
                 return
-            if count + candidates.bit_count() < k:
-                return
-            cand = candidates
-            while cand:
+            while cand and count + cand.bit_count() >= k:
                 low = cand & -cand
-                i = low.bit_length() - 1
                 cand ^= low
-                extend(clique | low, count + 1, cand & self.adj[i])
+                extend(clique | low, count + 1, cand & adj[low.bit_length() - 1])
 
         extend(0, 0, (1 << self.size) - 1)
         return out
@@ -169,7 +167,7 @@ def enumerate_two_term_silting(cat, graph=None):
     for s in objs:
         if not is_silting(s, cat):
             raise AssertionError("clique enumeration produced a non-silting object")
-    objs.sort(key=lambda s: (s.modules, s.shifted))
+    objs.sort()  # a TwoTermObject orders as (modules, shifted)
     return objs
 
 

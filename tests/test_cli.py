@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -350,6 +351,30 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "42"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # about 1.9 MB and 0.6 MB of JSON: both far over a pipe's buffer, so
+        # the command is still writing when the reader closes the pipe
+        ["enumerate", "--family", "d-linear", "--n", "7"],
+        ["classify", "--family", "d-linear", "--n", "5"],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "silted.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(64).startswith(b"{\n")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
 _STARTUP_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -400,13 +425,18 @@ def test_json_writer_matches_stdlib_on_cli_documents(monkeypatch, argv):
         return
     docs = []
     write = cli._json_dump
-    monkeypatch.setattr(cli, "_json_dump", lambda doc: docs.append(doc) or write(doc))
+    monkeypatch.setattr(
+        cli, "_json_dump", lambda doc, *sink: docs.append(doc) or write(doc, *sink)
+    )
     code, out = capture(argv)
     assert code == 0 and len(docs) == 1
     assert out == json.dumps(docs[0], indent=2) + "\n"
 
 
 def test_json_writer_matches_stdlib_on_edge_cases():
+    vec = (1, 0, 2)
+    twin = tuple([1, 0, 2])  # equal to vec, another object
+    assert twin == vec and twin is not vec
     docs = [
         [],
         [[]],
@@ -430,15 +460,43 @@ def test_json_writer_matches_stdlib_on_edge_cases():
         # equal to (1, 1) and (0, 0) but not all-int, so never memoised
         [(1, 1), (1, True), (0, 0), (0, None), (1, True)],
         {"silting": [{"modules": [(0, 1), (1, 1)], "shifted": [2]}, {"modules": [(0, 1)]}]},
+        # one tuple object at two list depths, then an equal but distinct one
+        [vec, [vec, twin], vec, [[twin, vec]], twin],
+        {"a": [vec], "b": vec, "c": [[vec], twin]},
+        # (1, True) == (1, 1): neither may be written from the other's text
+        [(1, 1), (1, True)],
+        [(1, True), (1, 1), [(1, True), (1, 1)]],
+        # bool and None as list items and dict values, beside inline ints and strs
+        [True, 1, False, 0, None, "", "x"],
+        {"t": True, "i": 1, "f": False, "z": 0, "n": None, "s": "x"},
+        # huge negative ints inline, in an int tuple and in a dict
+        [-(10**30), (-(10**25), 3), {"v": -(10**40)}, [-(10**30)]],
     ]
     for doc in docs:
         assert cli._json_dump(doc) == json.dumps(doc, indent=2)
-        # a pre-rendered text re-indents to the depth it is put at
+        # a pre-rendered text re-indents to the depth it is put at, as a
+        # list item and as a dict value, and is written as JSON text: the
+        # rendered "" and -7 are not quoted as a plain str would be
         text = cli._Rendered(cli._json_dump(doc))
         nested = {"a": [text, {"b": text}], "c": text}
         assert cli._json_dump(nested) == json.dumps(
             {"a": [doc, {"b": doc}], "c": doc}, indent=2
         )
+
+
+def test_json_writer_streams_in_batches(monkeypatch):
+    vec = (4, 0, 1)
+    doc = {"silting": [{"modules": [vec, (i, -i)], "shifted": [i, "s"]} for i in range(300)]}
+    want = json.dumps(doc, indent=2)
+    monkeypatch.setattr(cli, "RUN_PIECES", 16)
+    monkeypatch.setattr(cli, "WRITE_CHARS", 1000)
+    writes = []
+    assert cli._json_dump(doc, writes.append) == ""
+    assert "".join(writes) == want
+    assert len(writes) > 10
+    # every batch but the last holds WRITE_CHARS characters or more
+    assert all(len(w) >= 1000 for w in writes[:-1]) and writes[-1]
+    assert cli._json_dump(doc) == want
 
 
 def test_json_writer_memo_lasts_one_call():

@@ -67,6 +67,18 @@ def test_tau_orthogonality_table_matches_pairwise_oracle(q):
             assert bool(row >> y & 1) == _tau_orthogonal_reference(cat, x, y), (x, y)
 
 
+@pytest.mark.parametrize(
+    "q", FIVE_VERTEX_QUIVERS + [line_quiver(5)], ids=["lambda5", "gamma5", "b5", "a5"]
+)
+def test_vanishing_table_matches_dimension_vectors(q):
+    cat = knit_catalog(q)
+    for i, v in enumerate(cat.q.vertices):
+        bits = cat.vanishing_at(v)
+        assert bits == sum(1 << x for x in range(len(cat)) if cat.dim_vector(x)[i] == 0)
+        # P(v) never vanishes at v, so P(v)[1] and P(v) are never compatible
+        assert not bits >> cat.proj(v) & 1
+
+
 @pytest.mark.parametrize("q", FIVE_VERTEX_QUIVERS, ids=["lambda5", "gamma5", "b5"])
 def test_is_presilting_matches_pairwise_reference_on_random_subsets(q):
     cat = knit_catalog(q)
