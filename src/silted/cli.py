@@ -309,14 +309,16 @@ def run(argv):
                 _json_dump({"family": args.family, "n": args.n, "silting": objs}, sys.stdout.write)
                 print()
             elif args.format == "csv":
-                print("modules,shifted")
-                for o in objs:
-                    print(f"\"{list(map(list, o['modules']))}\",\"{o['shifted']}\"")
+                # one print of the joined lines: a print per line is two
+                # writes per object when stdout is unbuffered
+                lines = ["modules,shifted"]
+                lines += (f"\"{list(map(list, o['modules']))}\",\"{o['shifted']}\"" for o in objs)
+                print("\n".join(lines))
             else:
-                print(f"# 2-term silting complexes, {FAMILIES[args.family].symbol}_{args.n}")
-                for o in objs:
-                    print(f"- modules {list(map(list, o['modules']))} shifted {o['shifted']}")
-                print(f"total: {len(objs)}")
+                lines = [f"# 2-term silting complexes, {FAMILIES[args.family].symbol}_{args.n}"]
+                lines += (f"- modules {list(map(list, o['modules']))} shifted {o['shifted']}" for o in objs)
+                lines.append(f"total: {len(objs)}")
+                print("\n".join(lines))
             return 0
 
         if args.cmd == "classify":

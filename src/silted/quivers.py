@@ -14,23 +14,13 @@ algebra.  The AR catalog builds its minimal presentations from two steps
 over the hereditary base.
 
 `_ideal_words` decides once per presentation, from its ideal spans,
-whether the ideal is monomial and which paths generate it.  Global dimension, string and
-gentle all read those words: a monomial ideal's global dimension comes
-from overlapping them (Green-Happel-Zacharia), and the string (S1)-(S3)
-and gentle conditions are conditions on the length-2 words
+whether the ideal is monomial and which paths generate it.  String,
+gentle and the effective-intersection count read those words: the
+(S1)-(S3) and gentle conditions are conditions on the length-2 words
 (Butler-Ringel).
 
-Any other ideal settles each simple's projective dimension up to 2 from
-dimensions read off the same spans.  Every relation has length >= 2, so
-I lies in rad^2, the first syzygy of S_v is rad P(v), and the second is
-covered by the sum of P(w) over the arrows v -> w.  The rule is: pd S_v
-is 0 when the first syzygy is 0; it is 1 when the second is 0; and it
-is 2 when the second is nonzero and its dimension equals the sum of
-dim P(t(rho)) over the relations rho starting at v.  That sum maps onto
-the second syzygy for any generating set of I (Bongartz 1983), so equal
-dimensions make the second syzygy projective.  Global dimension iterates
-the cover step only on the simples this leaves open, which with minimal
-relations are exactly those of projective dimension >= 3.
+`global_dimension` takes one rule for every ideal, monomial or not; its
+docstring states the rule.
 """
 
 from collections import namedtuple
@@ -614,25 +604,24 @@ def _act_along_path(mod, vec, path):
 
 
 def global_dimension(qwr):
-    """Max over simples S_v of the projective dimension pd S_v.
+    """Max over simples S_v of the projective dimension pd S_v, by one rule
+    for every ideal.
 
-    A monomial ideal reads it off its minimal generating words.  Any other
-    settles each simple from the dimensions of its first two syzygies
-    (`_pds_from_dimensions`):
+    Each simple is settled up to pd 2 from the dimensions of its first two
+    syzygies (`_pds_from_dimensions`):
       pd S_v = 0 when Omega^1 S_v = 0;
       pd S_v = 1 when Omega^1 S_v != 0 and Omega^2 S_v = 0;
       pd S_v = 2 when Omega^2 S_v != 0 and dim Omega^2 S_v is the sum of
         dim P(t(rho)) over the relations rho with source v.
-    For any set of relations generating I, the sum of those P(t(rho)) maps
-    onto Omega^2 S_v (Bongartz 1983, Algebras and quadratic forms), so in
-    the third case the map is an isomorphism and Omega^2 S_v projective.
-    Only the simples the rule leaves open are resolved with
-    projective_cover; with minimal relations they are exactly the simples
-    of pd >= 3.
+    As kQ is free, Omega^2 S_v is e_v I / (sum over the arrows a: v -> w
+    of a I), and e_v I is that sum plus the rho A over the relations rho
+    with source v.  So for any set of relations generating I, the sum of
+    those P(t(rho)) maps onto Omega^2 S_v (Bongartz 1983, Algebras and
+    quadratic forms), and in the third case the map is an isomorphism and
+    Omega^2 S_v projective.  Only the simples the rule leaves open are
+    resolved (`_pd_by_resolution`); with minimal relations the map is a
+    projective cover, so they are exactly the simples of pd >= 3.
     """
-    words = _ideal_words(qwr)
-    if words is not None:
-        return _gldim_from_words(qwr.quiver, words)
     pds = _pds_from_dimensions(qwr)
     best = max((pd for pd in pds.values() if pd is not None), default=0)
     undecided = [v for v, pd in pds.items() if pd is None]
@@ -651,10 +640,6 @@ def _pds_from_dimensions(qwr):
     of Omega^1 S_v = rad P(v) is spanned by the arrows a: v -> w.  Hence
       dim Omega^1 S_v = dim P(v) - 1,
       dim Omega^2 S_v = (sum over a: v -> w of dim P(w)) - dim Omega^1 S_v.
-    As kQ is free, Omega^2 S_v is e_v I / (sum over those a of a I), and
-    e_v I is that sum plus the rho A over the relations rho with source v,
-    which is why the P(t(rho)) map onto it.  With minimal relations that
-    map is a projective cover, so a simple left open has pd S_v >= 3.
     """
     q = qwr.quiver
     spans = qwr.ideal_spans()
@@ -698,55 +683,6 @@ def _pd_by_resolution(alg, v):
         pd += 1
         if pd > cap:
             raise AssertionError("projective resolution did not terminate")
-
-
-def _gldim_from_words(q, words):
-    """Global dimension of kQ/I for I generated by the paths `words`, as
-    arrow-id tuples (Green, Happel and Zacharia 1985), with paths read left
-    to right.
-
-    Omega(S_v) is the sum of the alpha A over the arrows alpha leaving v.
-    For a nonzero path p, Omega(pA) is the sum of the qA over the paths q
-    out of t(p) with q not in I and pq in I such that no proper prefix q'
-    of q has pq' in I; pA is projective when there is no such q.  A word
-    lies in I exactly when it contains a word of `words` as a subword.
-    """
-    longest = max((len(w) for w in words), default=0)
-    cap = len(q.vertices) + 1
-    pds = {}
-
-    def shortest_relation_suffix(word):
-        for k in range(2, min(longest, len(word)) + 1):
-            if word[-k:] in words:
-                return k
-        return 0
-
-    def syzygy(p, v):
-        """The generators q of Omega(pA), as (arrow ids, target) pairs;
-        p is a nonzero path ending at v."""
-        gens = []
-        stack = [((), v)]
-        while stack:
-            qw, u = stack.pop()
-            for a in q.out_arrows[u]:
-                qa = qw + (a.id,)
-                # p + qw is nonzero, so a word of `words` in p + qa is a suffix
-                k = shortest_relation_suffix(p + qa)
-                if k == 0:
-                    stack.append((qa, a.tgt))
-                elif k > len(qa):
-                    gens.append((qa, a.tgt))
-        return gens
-
-    def pd(p, v):
-        if p not in pds:
-            gens = syzygy(p, v)
-            pds[p] = 1 + max(pd(qw, u) for qw, u in gens) if gens else 0
-            if pds[p] > cap:
-                raise AssertionError("projective resolution did not terminate")
-        return pds[p]
-
-    return max((1 + pd((a.id,), a.tgt) for a in q.arrows), default=0)
 
 
 # ---- effective intersections on a line -----------------------------------

@@ -176,8 +176,9 @@ def test_criterion_6_property_suites():
                 p = p.then(Path(a.src, a.tgt, (a.id,)))
             rels.append(monomial_relation(p))
         qwr = QuiverWithRelations(q, rels)
-        # the resolution is the independent oracle: global_dimension reads
-        # monomial presentations off their relation words
+        # the resolution of every simple is the independent oracle:
+        # global_dimension settles pd <= 2 from dimensions and resolves
+        # only the simples it leaves open
         want = effective_intersection_count(qwr) + 1
         if _gldim_by_resolution(qwr) != want or global_dimension(qwr) != want:
             ok_eff = False

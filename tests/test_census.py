@@ -33,9 +33,6 @@ from silted.quivers import (
     BoundAlgebra,
     QuiverWithRelations,
     Relation,
-    _gldim_by_resolution,
-    _gldim_from_words,
-    _ideal_words,
     _pd_by_resolution,
     _pds_from_dimensions,
     _relation_words,
@@ -309,15 +306,33 @@ def census_components(family, n):
         yield from connected_components(end_algebra(s, cat, calc).qwr)
 
 
-def test_gldim_from_relation_words_matches_resolution_on_censuses():
-    for family, n in (("d-linear", 5), ("d-reversed", 5), ("b", 6)):
-        distinct = {}
-        for cq in census_components(family, n):
-            if all(rel.is_monomial() for rel in cq.relations):
-                distinct.setdefault(json.dumps(qwr_to_json(cq), sort_keys=True), cq)
-        gldims = [_gldim_from_words(cq.quiver, _ideal_words(cq)) for cq in distinct.values()]
-        assert gldims == [_gldim_by_resolution(cq) for cq in distinct.values()]
-        assert set(gldims) == ({0, 1, 2} if family == "b" else {0, 1, 2, 3})
+@pytest.mark.parametrize(
+    "family, n, a_ss",
+    [("d-linear", 5, 4), ("d-linear", 6, 14), ("d-reversed", 5, 2), ("d-reversed", 6, 9), ("b", 6, 0)],
+)
+def test_census_resolves_one_simple_per_distinct_gldim_3_presentation(monkeypatch, family, n, a_ss):
+    """global_dimension settles every simple of pd <= 2 from dimensions, so
+    a census resolves only the one simple of pd 3 of each distinct gldim-3
+    component presentation, as many as the strictly shod classes."""
+    import silted.quivers
+
+    resolved = []
+    real = silted.quivers._pd_by_resolution
+
+    def counting(alg, v):
+        resolved.append(v)
+        return real(alg, v)
+
+    monkeypatch.setattr(silted.quivers, "_pd_by_resolution", counting)
+    spec = AlgebraSpec(family, n)
+    records = list(census_records(spec))
+    gldim_3 = {
+        json.dumps(qwr_to_json(c.qwr), sort_keys=True)
+        for rec in records
+        for c in rec.components
+        if c.gldim == 3
+    }
+    assert len(resolved) == len(gldim_3) == census_summary(spec, records).a_ss == a_ss
 
 
 def test_pds_from_dimensions_match_resolution_on_censuses():

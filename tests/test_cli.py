@@ -330,6 +330,25 @@ def test_classify_golden_bytes(name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_enumerate_text_formats_write_a_handful_of_times(fmt):
+    """Unbuffered stdout makes every write a system call, so the 182
+    Lambda_5 lines go out in one print, not one print per line."""
+    writes = []
+
+    class CountingOut(io.StringIO):
+        def write(self, s):
+            writes.append(s)
+            return super().write(s)
+
+    out = CountingOut()
+    with redirect_stdout(out):
+        code = run(["enumerate", "--family", "d-linear", "--n", "5", "--format", fmt])
+    assert code == 0
+    assert out.getvalue().count("\n") > 182
+    assert len(writes) <= 4
+
+
 def test_tables_csv_rows_parse_to_the_header_fields():
     code, out = capture(["tables", "--enum-max", "3", "--format", "csv"])
     assert code == 0
