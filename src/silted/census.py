@@ -31,7 +31,6 @@ from .arcatalog import knit_catalog
 from .endo import TwoTermHomCalc, end_algebra
 from .quivers import (
     Path,
-    Quiver,
     QuiverWithRelations,
     are_isomorphic,
     b_reversed_quiver,
@@ -101,48 +100,16 @@ def get_catalog(spec):
 ComponentInfo = namedtuple("ComponentInfo", "qwr gldim label is_string is_gentle iso_class")
 
 
-class ClassificationRecord:
-    """One silting object's census entry.  Mutable: census_records numbers
-    iso_class (-1 until then) as it yields the record."""
-
-    _fields = (
-        "silting",
-        "end",
-        "components",
-        "gldim",
-        "family_label",
-        "is_tilting_module",
-        "is_tilting_complex",
-        "iso_class",
+class ClassificationRecord(
+    namedtuple(
+        "ClassificationRecord",
+        "silting end components gldim family_label is_tilting_module is_tilting_complex iso_class",
     )
-    __slots__ = _fields + ("__weakref__",)
+):
+    """One silting object's census entry, numbered with its iso_class when
+    classify_record builds it."""
 
-    def __init__(
-        self, silting, end, components, gldim, family_label,
-        is_tilting_module, is_tilting_complex, iso_class=-1,
-    ):
-        self.silting = silting
-        self.end = end
-        self.components = components
-        self.gldim = gldim
-        self.family_label = family_label
-        self.is_tilting_module = is_tilting_module
-        self.is_tilting_complex = is_tilting_complex
-        self.iso_class = iso_class
-
-    def _values(self):
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"ClassificationRecord({fields})"
+    __slots__ = ()
 
     def to_json(self, cat):
         return {
@@ -262,15 +229,14 @@ def _object_text(cat, s):
 
 
 class _ComponentMemo:
-    """The ComponentInfo of each exact component presentation of one run.
+    """The class facts of each exact component presentation of one run.
 
     A presentation seen for the first time is classified once and matched
     against the class representatives in its iso_fingerprint bucket; it
-    joins the first isomorphic one or starts a new component class.  Only
-    a representative keeps the presentation as classified, with its path
-    table, ideal spans, words and fingerprint, since are_isomorphic reads
-    them on every later match; any other keeps a bare copy of its quiver
-    and relations, all that qwr_to_json reads.
+    joins the first isomorphic one or starts a new component class.  The
+    memo keeps a presentation only for a representative, which the later
+    are_isomorphic matches read; any other presentation is stored with
+    qwr=None, and classify hands each record its own components.
     """
 
     def __init__(self):
@@ -279,7 +245,7 @@ class _ComponentMemo:
         self.n_classes = 0
 
     def classify(self, qwr):
-        """The components of qwr, each as a ComponentInfo."""
+        """The components of qwr, each as a ComponentInfo whose qwr it is."""
         out = []
         for cq in connected_components(qwr):
             q = cq.quiver
@@ -287,7 +253,7 @@ class _ComponentMemo:
             info = self.infos.get(key)
             if info is None:
                 info = self.infos[key] = self._new_info(cq)
-            out.append(info)
+            out.append(info._replace(qwr=cq))
         return out
 
     def _new_info(self, cq):
@@ -299,11 +265,9 @@ class _ComponentMemo:
         if rep is not None and rep.gldim != g:
             raise AssertionError("isomorphic components disagree on gldim")
         cls = self.n_classes if rep is None else rep.iso_class
-        qwr = cq
-        if rep is not None:
-            qwr = QuiverWithRelations(Quiver(cq.quiver.vertices, cq.quiver.arrows), cq.relations)
         info = ComponentInfo(
-            qwr, g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq), cls
+            cq if rep is None else None,
+            g, COMPONENT_LABELS[g], is_string_algebra(cq), is_gentle(cq), cls,
         )
         if rep is None:
             self.n_classes += 1
@@ -317,7 +281,9 @@ def _iso_key(comps):
     return tuple(sorted(c.iso_class for c in comps))
 
 
-def classify_record(cat, calc, s, spec, memo):
+def classify_record(cat, calc, s, spec, memo, classes):
+    """The record of s, its iso_class drawn from classes, the run's map from
+    _iso_key to class number (first occurrence)."""
     with naming_failure(spec, lambda: _object_text(cat, s)):
         ep = end_algebra(s, cat, calc)
         comps = memo.classify(ep.qwr)
@@ -345,6 +311,7 @@ def classify_record(cat, calc, s, spec, memo):
         family_label=label,
         is_tilting_module=not s.shifted,
         is_tilting_complex=is_tilt_complex,
+        iso_class=classes.setdefault(_iso_key(comps), len(classes)),
     )
 
 
@@ -355,18 +322,16 @@ def _check_cap(spec, n_cap):
 
 def census_records(spec, n_cap=N_CAP):
     """The one census loop: the record of each silting object of spec, in
-    enumeration order, classified against one component memo and numbered
-    with its iso_class (by first occurrence) as it is yielded; none is
-    kept.  Iterating raises ValueError first when spec.n exceeds n_cap."""
+    enumeration order, classified against one component memo and one
+    iso_class numbering (by first occurrence); none is kept.  Iterating
+    raises ValueError first when spec.n exceeds n_cap."""
     _check_cap(spec, n_cap)
     cat = get_catalog(spec)
     calc = TwoTermHomCalc(cat)
     memo = _ComponentMemo()
     classes = {}
     for s in enumerate_two_term_silting(cat):
-        rec = classify_record(cat, calc, s, spec, memo)
-        rec.iso_class = classes.setdefault(_iso_key(rec.components), len(classes))
-        yield rec
+        yield classify_record(cat, calc, s, spec, memo, classes)
 
 
 def census_summary(spec, records):

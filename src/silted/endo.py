@@ -65,7 +65,6 @@ class TwoTermHomCalc:
     def __init__(self, catalog):
         self.cat = catalog
         self._space_cache = {}
-        self._dim_cache = {}
         self._mult_cache = {}
 
     # ---- space constructors -------------------------------------------
@@ -86,10 +85,8 @@ class TwoTermHomCalc:
         return sp
 
     def dim(self, src, tgt):
-        """dim Hom(src, tgt), kept in a per-calc table."""
-        if (src, tgt) not in self._dim_cache:
-            self._dim_cache[(src, tgt)] = self.space(src, tgt).dim
-        return self._dim_cache[(src, tgt)]
+        """dim Hom(src, tgt), read off the cached space."""
+        return self.space(src, tgt).dim
 
     def _ms_space(self, x, v):
         sub = self.cat.restriction_image(x, self.cat.proj(v))

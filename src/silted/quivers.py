@@ -26,7 +26,6 @@ docstring states the rule.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
 
 from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel, nullspace
 
@@ -794,27 +793,21 @@ def _fingerprint(qwr):
     )
 
 
-def _arrow_map_candidates(qa, qb, vmap):
-    """All arrow bijections compatible with a vertex bijection."""
-    groups = {}
-    for a in qa.arrows:
-        groups.setdefault((a.src, a.tgt), []).append(a)
-    bgroups = {}
-    for b in qb.arrows:
-        bgroups.setdefault((b.src, b.tgt), []).append(b)
-    choices = []
-    for key in sorted(groups):
-        tgt = bgroups.get((vmap[key[0]], vmap[key[1]]), [])
-        if len(tgt) != len(groups[key]):
-            return
-        choices.append([[(a.id, b.id) for a, b in zip(groups[key], perm)] for perm in permutations(tgt)])
-    for combo in product(*choices):
-        yield {aid: bid for pairs in combo for aid, bid in pairs}
+def _arrow_map(qa, qb, vmap):
+    """The one arrow bijection over vmap between quivers without parallel arrows, or None."""
+    ids_b = {(b.src, b.tgt): b.id for b in qb.arrows}
+    amap = {a.id: ids_b.get((vmap[a.src], vmap[a.tgt])) for a in qa.arrows}
+    return None if None in amap.values() else amap
 
 
 def are_isomorphic(a, b):
     """Vertex/arrow bijection matching quivers and carrying the relation
     ideal of one presentation onto the other, up to rescaling of arrows.
+
+    The domain is quivers without parallel arrows, where a vertex bijection
+    allows at most one arrow bijection; parallel arrows raise ValueError.
+    That covers the census: a Schurian algebra has at most one arrow
+    between two vertices.
 
     The torus of arrow rescalings acts on relation coefficients; a
     presentation with a commutativity relation p - q and one with p + q
@@ -822,9 +815,12 @@ def are_isomorphic(a, b):
     exactly (per prime, plus signs) and then verified against every pair
     of vertices.
     """
+    qa, qb = a.quiver, b.quiver
+    for q in (qa, qb):
+        if len({(x.src, x.tgt) for x in q.arrows}) < len(q.arrows):
+            raise ValueError("are_isomorphic needs quivers without parallel arrows")
     if iso_fingerprint(a) != iso_fingerprint(b):
         return False
-    qa, qb = a.quiver, b.quiver
     prof_a, prof_b = _degree_profile(a), _degree_profile(b)
     pda, pdb = _pair_dims(a), _pair_dims(b)
     if len(pda) != len(pdb):
@@ -862,9 +858,9 @@ def are_isomorphic(a, b):
             used.discard(w)
 
     for vmap in extend(0, {}, set()):
-        for amap in _arrow_map_candidates(qa, qb, vmap):
-            if _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
-                return True
+        amap = _arrow_map(qa, qb, vmap)
+        if amap is not None and _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
+            return True
     return False
 
 

@@ -37,7 +37,6 @@ from silted.quivers import (
     _pds_from_dimensions,
     _relation_words,
     _span_words,
-    _UNSET,
     are_isomorphic,
     connected_components,
     is_gradable,
@@ -568,7 +567,7 @@ def test_streamed_summary_matches_classify_family(family):
 def test_classify_family_keeps_no_record_when_given_keep(family):
     spec = AlgebraSpec(family, 5)
     records, summary = classify_family(spec)
-    refs, streamed = classify_family(spec, keep=weakref.ref)
+    refs, streamed = classify_family(spec, keep=lambda rec: weakref.ref(rec.end))
     assert len(refs) == streamed.n_silting == len(records)
     assert all(ref() is None for ref in refs)
     assert streamed.to_json() == summary.to_json()
@@ -590,15 +589,19 @@ def test_only_component_class_representatives_keep_built_presentations(monkeypat
 
     monkeypatch.setattr(silted.census, "_ComponentMemo", RecordingMemo)
     spec = AlgebraSpec(family, 5)
-    census_summary(spec, census_records(spec))
+    records = list(census_records(spec))
     (memo,) = memos
     reps = {id(info) for bucket in memo.buckets.values() for info in bucket}
     others = [info for info in memo.infos.values() if id(info) not in reps]
     assert len(reps) == memo.n_classes and others
-    for info in others:
-        qwr = info.qwr
-        assert qwr.quiver._paths is None and qwr.quiver._pathindex is None
-        assert qwr._ideal is None and qwr._words is _UNSET and qwr._fingerprint is None
+    assert all(info.qwr is None for info in others)
+    # each record's components are its own End's split
+    assert any(len(rec.components) == 1 for rec in records)
+    for rec in records:
+        split = connected_components(rec.end.qwr)
+        assert [qwr_to_json(c.qwr) for c in rec.components] == [qwr_to_json(c) for c in split]
+        if len(rec.components) == 1:
+            assert rec.components[0].qwr is rec.end.qwr
 
 
 def test_census_value_classes():
@@ -619,17 +622,16 @@ def test_census_value_classes():
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
 
-    # a record stays mutable, since census_records numbers it as it goes
-    rec = ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True)
+    # a record is numbered when built; its component list keeps it unhashable
+    rec = ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True, -1)
     assert repr(rec) == (
         "ClassificationRecord(silting=TwoTermObject(modules=(1,), shifted=(2,)), end=None, "
         "components=[], gldim=0, family_label='x', is_tilting_module=False, "
         "is_tilting_complex=True, iso_class=-1)"
     )
-    assert rec == ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True)
-    rec.iso_class = 4
-    assert rec.iso_class == 4
-    assert rec != ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True)
+    assert rec == ClassificationRecord(two_term([1], [2]), None, [], 0, "x", False, True, -1)
+    with pytest.raises(AttributeError):
+        rec.iso_class = 4
     with pytest.raises(TypeError):
         hash(rec)
 

@@ -428,6 +428,14 @@ def test_arrow_product_on_both_sides_of_a_commutativity_relation():
     assert spans[(0, 4)].contains(left) and spans[(1, 5)].contains(right)
 
 
+def test_iso_rejects_parallel_arrows():
+    kronecker = QuiverWithRelations(Quiver([1, 2], [Arrow(1, 1, 2), Arrow(2, 1, 2)]))
+    with pytest.raises(ValueError, match="parallel"):
+        are_isomorphic(kronecker, kronecker)
+    with pytest.raises(ValueError, match="parallel"):
+        are_isomorphic(QuiverWithRelations(line_quiver(2)), kronecker)
+
+
 def test_iso_square_vs_double_zero_differs():
     q = square_qwr().quiver
     both_zero = QuiverWithRelations(
