@@ -7,8 +7,9 @@ classified by global dimension:
 
     0 semisimple-point, 1 hereditary-tilted, 2 tilted, 3 strictly-shod.
 
-Each distinct component presentation is matched once, up to isomorphism
-with arrow rescaling, against the earlier component classes; a record's
+Each distinct component presentation is certified isomorphic to its
+commutative form and matched once, by its zero paths under quiver
+isomorphisms, against the earlier component classes; a record's
 isomorphism class is the multiset of its components' classes.  The
 records stream from census_records, and census_summary folds them into
 the class counts a_s / a_t / a_ss that the reference tables pin down.
@@ -45,6 +46,7 @@ from .quivers import (
     line_quiver,
     monomial_relation,
     qwr_to_json,
+    zero_paths,
 )
 from .silting import (
     enumerate_two_term_silting,
@@ -231,12 +233,14 @@ def _object_text(cat, s):
 class _ComponentMemo:
     """The class facts of each exact component presentation of one run.
 
-    A presentation seen for the first time is classified once and matched
-    against the class representatives in its iso_fingerprint bucket; it
-    joins the first isomorphic one or starts a new component class.  The
-    memo keeps a presentation only for a representative, which the later
-    are_isomorphic matches read; any other presentation is stored with
-    qwr=None, and classify hands each record its own components.
+    A presentation seen for the first time is classified once, certified
+    isomorphic to its commutative form (quivers.zero_paths, an
+    AssertionError when it is not) and matched against the class
+    representatives in its iso_fingerprint bucket; it joins the first
+    isomorphic one or starts a new component class.  The memo keeps a
+    presentation, with its zero paths, only for a representative, which the
+    later are_isomorphic matches read; any other presentation is stored
+    with qwr=None, and classify hands each record its own components.
     """
 
     def __init__(self):
@@ -260,6 +264,8 @@ class _ComponentMemo:
         g = global_dimension(cq)
         if g > 3:
             raise AssertionError("component with global dimension > 3 in a silted census")
+        if zero_paths(cq) is None:
+            raise AssertionError("component is not isomorphic to its commutative form")
         bucket = self.buckets.setdefault(iso_fingerprint(cq), [])
         rep = next((r for r in bucket if are_isomorphic(cq, r.qwr)), None)
         if rep is not None and rep.gldim != g:

@@ -21,13 +21,18 @@ gentle and the effective-intersection count read those words: the
 
 `global_dimension` takes one rule for every ideal, monomial or not; its
 docstring states the rule.
+
+`zero_paths` reads once, from the ideal spans, which paths a presentation
+kills, and certifies that the presentation is Schurian and isomorphic to
+its commutative form.  That is the domain of `are_isomorphic`, which then
+only matches zero paths under quiver isomorphisms.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel, nullspace
+from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel
 
 
 Arrow = namedtuple("Arrow", "id src tgt")
@@ -207,7 +212,8 @@ class QuiverWithRelations:
 
     The paths of kQ depend on the quiver alone, so they live in its
     `Quiver.path_table`, shared by every presentation over that quiver;
-    the ideal spans, ideal words and fingerprint are cached here.
+    the ideal spans, ideal words, zero paths and fingerprint are cached
+    here.
     """
 
     def __init__(self, quiver, relations=()):
@@ -215,6 +221,7 @@ class QuiverWithRelations:
         self.relations = tuple(relations)
         self._ideal = None
         self._words = _UNSET
+        self._zeros = _UNSET
         self._fingerprint = None
 
     def ideal_spans(self):
@@ -493,7 +500,7 @@ class CoverStep:
     slot by slot, the reduced paths v -> u, so slot k's generator (the
     trivial path) sits at position `gen_positions[k]` of P at its vertex.
     `cover` maps the k-th generator to `gens[k]` in M; `incl` is the
-    inclusion of K as the columns of the nullspace basis of `cover`.
+    inclusion of K as the columns of the kernel basis of `cover`.
 
     A map from P to a module Y is given by its generator images, laid out
     as one vector of Hom(P, Y)-coordinates: slot by slot, a vector of
@@ -572,7 +579,7 @@ def projective_cover(alg, mod):
             P_dims[u] += alg.projective(v).dims[u]
     P_mats = {a.id: block_diag([alg.projective(v).mats[a.id] for v in slots]) for a in q.arrows}
     P = RepModule(q, P_dims, P_mats)
-    # the nullspace basis is the identity on the free columns, so a kernel
+    # the kernel basis is the identity on the free columns, so a kernel
     # vector's coordinates are its entries there
     kbasis = {}
     free = {}
@@ -801,135 +808,94 @@ def _arrow_map(qa, qb, vmap):
 
 
 def are_isomorphic(a, b):
-    """Vertex/arrow bijection matching quivers and carrying the relation
-    ideal of one presentation onto the other, up to rescaling of arrows.
+    """A quiver isomorphism carrying the zero paths of one presentation
+    onto those of the other.
 
-    The domain is quivers without parallel arrows, where a vertex bijection
-    allows at most one arrow bijection; parallel arrows raise ValueError.
-    That covers the census: a Schurian algebra has at most one arrow
-    between two vertices.
-
-    The torus of arrow rescalings acts on relation coefficients; a
-    presentation with a commutativity relation p - q and one with p + q
-    present the same algebra.  Feasibility of a rescaling is decided
-    exactly (per prime, plus signs) and then verified against every pair
-    of vertices.
+    The domain is Schurian presentations isomorphic to their commutative
+    form (`zero_paths`); anything else, parallel arrows included, raises
+    ValueError.  On it the test is exact: an isomorphism of Schurian
+    algebras rescales the arrows of a quiver isomorphism, so it keeps zero
+    paths zero, and two commutative forms with matching zero paths are
+    isomorphic.  Without parallel arrows a vertex bijection allows at most
+    one arrow bijection (`_arrow_map`).
     """
-    qa, qb = a.quiver, b.quiver
-    for q in (qa, qb):
-        if len({(x.src, x.tgt) for x in q.arrows}) < len(q.arrows):
-            raise ValueError("are_isomorphic needs quivers without parallel arrows")
+    za, zb = zero_paths(a), zero_paths(b)
+    if za is None or zb is None:
+        raise ValueError(
+            "are_isomorphic needs Schurian presentations (no parallel arrows) "
+            "isomorphic to their commutative form"
+        )
     if iso_fingerprint(a) != iso_fingerprint(b):
         return False
+    qa, qb = a.quiver, b.quiver
     prof_a, prof_b = _degree_profile(a), _degree_profile(b)
     pda, pdb = _pair_dims(a), _pair_dims(b)
     if len(pda) != len(pdb):
         return False
-    spans_a, spans_b = a.ideal_spans(), b.ideal_spans()
 
     verts_a = list(qa.vertices)
-    cands = {
-        v: [w for w in qb.vertices if prof_b[w] == prof_a[v]]
-        for v in verts_a
-    }
 
-    def extend(i, vmap, used):
-        if i == len(verts_a):
-            yield dict(vmap)
-            return
-        v = verts_a[i]
-        for w in cands[v]:
-            if w in used:
-                continue
-            ok = True
-            for (u, x), val in pda.items():
-                if u == v and x in vmap and pdb.get((w, vmap[x])) != val:
-                    ok = False
-                    break
-                if x == v and u in vmap and pdb.get((vmap[u], w)) != val:
-                    ok = False
-                    break
-            if not ok:
+    def extend(vmap):
+        if len(vmap) == len(verts_a):
+            amap = _arrow_map(qa, qb, vmap)
+            return amap is not None and {tuple(amap[i] for i in w) for w in za} == zb
+        v = verts_a[len(vmap)]
+        for w in qb.vertices:
+            if prof_b[w] != prof_a[v] or w in vmap.values() or any(
+                u == v and x in vmap and pdb.get((w, vmap[x])) != val
+                or x == v and u in vmap and pdb.get((vmap[u], w)) != val
+                for (u, x), val in pda.items()
+            ):
                 continue
             vmap[v] = w
-            used.add(w)
-            yield from extend(i + 1, vmap, used)
+            if extend(vmap):
+                return True
             del vmap[v]
-            used.discard(w)
-
-    for vmap in extend(0, {}, set()):
-        amap = _arrow_map(qa, qb, vmap)
-        if amap is not None and _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
-            return True
-    return False
-
-
-def _sigma_path(vmap, amap, p):
-    return Path(vmap[p.source], vmap[p.target], tuple(amap[i] for i in p.arrows))
-
-
-def _ideal_matches_up_to_rescaling(a, b, vmap, amap, spans_a, spans_b):
-    arrow_ids = [ar.id for ar in a.quiver.arrows]
-    arrow_pos = {aid: i for i, aid in enumerate(arrow_ids)}
-    constraints = []  # (integer exponent vector over a-arrows, ratio in Q*)
-    pair_data = []
-    # the pairs joined by a path, in the (u, v) order of a's vertex tuple
-    rank = {v: i for i, v in enumerate(a.quiver.vertices)}
-    pairs = sorted(a.quiver.path_table().items(), key=lambda kv: [rank[x] for x in kv[0]])
-    for (u, v), plist in pairs:
-        span_a = spans_a[(u, v)]
-        key_b = (vmap[u], vmap[v])
-        span_b = spans_b[key_b]
-        if span_a.dim != span_b.dim:
-            return False
-        if span_a.dim == 0:
-            continue
-        idx_b = b.quiver.path_index(*key_b)
-        nb = len(idx_b)
-        pair_data.append((u, v, plist, key_b, idx_b, nb, span_a, span_b))
-        for row in span_a.basis():
-            supp = [(p, c) for c, p in zip(row, plist) if c != 0]
-            # solution space of sum_t y_t e_{sigma p_t} in span_b
-            rems = []
-            for p, _c in supp:
-                e = [F0] * nb
-                e[idx_b[_sigma_path(vmap, amap, p)]] = F1
-                rems.append(span_b.reduce(e))
-            sols = nullspace(Mat.from_columns(rems, nb))
-            if not sols:
-                return False
-            if len(sols) == 1:
-                kappa = sols[0]
-                if any(k == 0 for k in kappa):
-                    return False
-                p0, c0 = supp[0]
-                sp0 = set(_sigma_path(vmap, amap, p0).arrows)
-                for t in range(1, len(supp)):
-                    pt, ct = supp[t]
-                    spt = set(_sigma_path(vmap, amap, pt).arrows)
-                    exps = [0] * len(arrow_ids)
-                    for aid, i in arrow_pos.items():
-                        bid = amap[aid]
-                        exps[i] = (1 if bid in spt else 0) - (1 if bid in sp0 else 0)
-                    ratio = Fraction(kappa[t] * c0) / (kappa[0] * ct)
-                    constraints.append((exps, ratio))
-            # solution spaces of dimension >= 2 impose no chain constraint;
-            # the final verification below covers them
-    weights = _solve_rescaling(arrow_ids, constraints)
-    if weights is None:
         return False
-    for (u, v, plist, key_b, idx_b, nb, span_a, span_b) in pair_data:
-        for row in span_a.basis():
-            vec = [F0] * nb
-            for c, p in zip(row, plist):
-                if c != 0:
-                    w = F1
-                    for aid in p.arrows:
-                        w *= weights[aid]
-                    vec[idx_b[_sigma_path(vmap, amap, p)]] += c * w
-            if not span_b.contains(vec):
-                return False
-    return True
+
+    return extend({})
+
+
+def zero_paths(qwr):
+    """The paths that are zero in kQ/I, as a frozenset of arrow-id tuples,
+    when qwr is Schurian and isomorphic to its commutative form; None when
+    it is not.  Read off the ideal spans and cached on qwr.
+
+    The commutative form has qwr's quiver, its zero paths as monomial
+    relations and p - q for every two parallel nonzero paths.  Schurian
+    means each pair (u, v) has at most one free column; each row of its
+    span, in reduced row echelon form, is then a unit row (a zero path) or
+    p + c b, with b the pair's free path.  Arrow weights w rescale qwr onto
+    its commutative form exactly when w(p)/w(b) = -1/c for every such row
+    (`_solve_rescaling`).
+    """
+    if qwr._zeros is _UNSET:
+        qwr._zeros = _certified_zero_paths(qwr)
+    return qwr._zeros
+
+
+def _certified_zero_paths(qwr):
+    arrow_ids = [a.id for a in qwr.quiver.arrows]
+    spans = qwr.ideal_spans()
+    zeros, constraints = set(), []
+    for key, plist in qwr.quiver.path_table().items():
+        span = spans[key]
+        if len(plist) - span.dim > 1:
+            return None
+        if not span.rows:
+            continue
+        free = span.complement_indices()
+        for row, piv in zip(span.rows, span.pivots):
+            p = plist[piv].arrows
+            c = row[free[0]] if free else 0
+            if c == 0:
+                zeros.add(p)
+            else:
+                b = plist[free[0]].arrows
+                constraints.append(([p.count(i) - b.count(i) for i in arrow_ids], Fraction(-1) / c))
+    if _solve_rescaling(arrow_ids, constraints) is None:
+        return None
+    return frozenset(zeros)
 
 
 def _factor_small(n):

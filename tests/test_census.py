@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -42,6 +44,7 @@ from silted.quivers import (
     is_gradable,
     iso_fingerprint,
     qwr_to_json,
+    zero_paths,
 )
 from silted.silting import enumerate_tilting_modules, enumerate_two_term_silting, is_silting, two_term
 
@@ -372,6 +375,35 @@ def test_relation_words_match_the_ideal_spans_on_censuses():
                 non_monomial += 1
         assert monomial > 0
         assert (non_monomial > 0) == (family != "b")
+
+
+def test_relabelled_rescaled_components_keep_their_class_and_zero_paths():
+    """Each distinct Gamma_6 component against a copy with random vertex and
+    arrow ids, each arrow scaled by a random nonzero rational w: a term
+    c p of a relation becomes (c / w(p)) sigma(p)."""
+    rng = random.Random(28)
+    distinct = {}
+    for cq in census_components("d-reversed", 6):
+        distinct.setdefault(json.dumps(qwr_to_json(cq), sort_keys=True), cq)
+    for cq in distinct.values():
+        q = cq.quiver
+        vmap = dict(zip(q.vertices, rng.sample(range(100), len(q.vertices))))
+        amap = dict(zip((a.id for a in q.arrows), rng.sample(range(100), len(q.arrows))))
+        weight = {
+            a.id: rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), rng.randint(1, 6))
+            for a in q.arrows
+        }
+        arrows = [Arrow(amap[a.id], vmap[a.src], vmap[a.tgt]) for a in q.arrows]
+        rng.shuffle(arrows)
+        image = lambda p: Path(vmap[p.source], vmap[p.target], tuple(amap[i] for i in p.arrows))
+        rels = [
+            Relation(tuple((c / math.prod(weight[i] for i in p.arrows), image(p)) for c, p in rel.terms))
+            for rel in cq.relations
+        ]
+        copy = QuiverWithRelations(Quiver(rng.sample(list(vmap.values()), len(vmap)), arrows), rels)
+        assert are_isomorphic(cq, copy)
+        assert zero_paths(copy) == {tuple(amap[i] for i in w) for w in zero_paths(cq)}
+    assert len(distinct) > 100
 
 
 def test_components_inherit_the_end_ideal():

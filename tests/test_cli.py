@@ -189,6 +189,41 @@ def test_non_schurian_end_names_the_silting_object(monkeypatch, capsys):
     assert _object_text(cat, met) + ")" in err
 
 
+def test_component_outside_its_commutative_form_names_the_silting_object(monkeypatch, capsys):
+    import silted.census
+    from silted.census import _object_text
+    from silted.quivers import Path, Quiver, QuiverWithRelations, Relation
+
+    # the octahedron 1 -> {2, 3} -> {4, 5} -> 6, three squares p - q and one
+    # p + q: Schurian, and no arrow weights make every square commute
+    q = Quiver(
+        range(1, 7),
+        [(1, 1, 2), (2, 1, 3), (3, 2, 4), (4, 3, 4), (5, 2, 5), (6, 3, 5), (7, 4, 6), (8, 5, 6)],
+    )
+    squares = [(1, 4, (1, 3), (2, 4), -1), (1, 5, (1, 5), (2, 6), -1), (2, 6, (3, 7), (5, 8), -1)]
+    squares.append((3, 6, (4, 7), (6, 8), 1))
+    octahedron = QuiverWithRelations(
+        q, [Relation(((1, Path(s, t, p)), (c, Path(s, t, r)))) for s, t, p, r, c in squares]
+    )
+    real = silted.census.end_algebra
+    met = []
+
+    def end_algebra(s, cat, calc=None):
+        ep = real(s, cat, calc)
+        if not met:
+            met.append(_object_text(cat, s))
+            ep.qwr = octahedron
+        return ep
+
+    monkeypatch.setattr(silted.census, "end_algebra", end_algebra)
+    code = run(["classify", "--family", "d-linear", "--n", "4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "component is not isomorphic to its commutative form" in err
+    assert "family d-linear, n=4" in err
+    assert met[0] + ")" in err
+
+
 def test_cyclic_end_quiver_is_an_invariant_failure(monkeypatch, capsys):
     from silted.census import _object_text, get_catalog
     from silted.endo import TwoTermHomCalc

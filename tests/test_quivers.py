@@ -25,11 +25,13 @@ from silted.quivers import (
     is_gentle,
     is_gradable,
     is_string_algebra,
+    iso_fingerprint,
     line_quiver,
     monomial_relation,
     paths_between,
     qwr_to_json,
     trivial_path,
+    zero_paths,
 )
 from fractions import Fraction
 
@@ -434,6 +436,62 @@ def test_iso_rejects_parallel_arrows():
         are_isomorphic(kronecker, kronecker)
     with pytest.raises(ValueError, match="parallel"):
         are_isomorphic(QuiverWithRelations(line_quiver(2)), kronecker)
+
+
+def octahedron(sign, kill_top=False):
+    """The octahedron 1 -> {2, 3} -> {4, 5} -> 6 with four square relations
+    p - q, the (3, 6) square written p + sign q; kill_top also kills the
+    four paths 1 -> 6."""
+    q = Quiver(
+        range(1, 7),
+        [(1, 1, 2), (2, 1, 3), (3, 2, 4), (4, 3, 4), (5, 2, 5), (6, 3, 5), (7, 4, 6), (8, 5, 6)],
+    )
+    squares = [
+        (1, 4, (1, 3), (2, 4), -1),
+        (1, 5, (1, 5), (2, 6), -1),
+        (2, 6, (3, 7), (5, 8), -1),
+        (3, 6, (4, 7), (6, 8), sign),
+    ]
+    rels = [Relation(((1, Path(s, t, p)), (c, Path(s, t, r)))) for s, t, p, r, c in squares]
+    if kill_top:
+        rels += [monomial_relation(p) for p in q.paths(1, 6)]
+    return QuiverWithRelations(q, rels)
+
+
+def test_zero_paths_certify_the_commutative_form():
+    assert zero_paths(octahedron(-1)) == frozenset()
+    assert zero_paths(square_qwr(coef=2)) == frozenset()
+    q = square_qwr().quiver
+    both_zero = QuiverWithRelations(
+        q, [monomial_relation(path(q, 1, 3)), monomial_relation(path(q, 2, 4))]
+    )
+    assert zero_paths(both_zero) == {(1, 3), (2, 4)}
+    # anti-commuting: Schurian, with 1 -> 6 zero, but no arrow weights make
+    # all four squares commute
+    anti = octahedron(1)
+    spans = anti.ideal_spans()
+    assert all(len(plist) - spans[key].dim <= 1 for key, plist in anti.quiver.path_table().items())
+    assert spans[(1, 6)].dim == 4
+    assert zero_paths(anti) is None
+    # its commutative form kills the same paths
+    top = {p.arrows for p in anti.quiver.paths(1, 6)}
+    assert zero_paths(octahedron(-1, kill_top=True)) == top
+    # the square without a relation is not Schurian
+    assert zero_paths(QuiverWithRelations(q)) is None
+
+
+def test_iso_rejects_presentations_outside_their_commutative_form():
+    anti = octahedron(1)
+    with pytest.raises(ValueError, match="commutative form"):
+        are_isomorphic(anti, octahedron(-1))
+    # the commutative form of anti has its zero paths and fingerprint, but
+    # anti is not isomorphic to it: matching zero paths alone would say so
+    form = octahedron(-1, kill_top=True)
+    assert iso_fingerprint(form) == iso_fingerprint(anti)
+    with pytest.raises(ValueError, match="commutative form"):
+        are_isomorphic(form, anti)
+    with pytest.raises(ValueError, match="Schurian"):
+        are_isomorphic(QuiverWithRelations(square_qwr().quiver), square_qwr())
 
 
 def test_iso_square_vs_double_zero_differs():
