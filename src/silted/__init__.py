@@ -1,10 +1,13 @@
 """Exact enumeration and classification of 2-term silting complexes and
 silted algebras over Dynkin path algebras of types A_n and D_n.
 
-The closed forms (`silted.formulas`) and the reference tables
-(`silted.papertables`) are not imported here: `from silted import
-formulas` loads them on demand, and the CLI imports them only for its
-count and tables commands."""
+Only the census pipeline is imported here.  Three modules load on
+demand: the closed forms (`silted.formulas`, for the CLI's count and
+tables commands), the reference tables with their verification helpers
+(`silted.papertables`, for tables) and the realization complex
+(`silted.realization`, for realization); import them by name, as in
+`from silted import formulas`.  The standard library's `fractions` loads
+with the first value that is not an integer (see `silted.linalg`)."""
 
 from .quivers import (
     Arrow,
@@ -17,10 +20,8 @@ from .quivers import (
     connected_components,
     d_linear_quiver,
     d_reversed_quiver,
-    effective_intersection_count,
     global_dimension,
     is_gentle,
-    is_gradable,
     is_string_algebra,
     line_quiver,
     monomial_relation,
@@ -43,8 +44,6 @@ from .census import (
     CensusSummary,
     ClassificationRecord,
     classify_family,
-    realization_complex,
-    star_crosscheck,
 )
 
 __version__ = "0.1.0"

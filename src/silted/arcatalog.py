@@ -210,16 +210,24 @@ class ARCatalog:
                 raise AssertionError("mesh map is not injective; knitting is broken")
             comp = sp.complement_indices()
             z_dims[u] = len(comp)
-            units = [[F1 if j == i else F0 for j in range(amb[u])] for i in range(amb[u])]
-            proj[u] = Mat.from_columns([sp.quotient_coords(e) for e in units], len(comp))
+            # the cokernel projection, read off the reduced rows: column i
+            # is the unit vector at i's place in comp when i is free, and
+            # minus the free entries of the row with pivot i otherwise
+            pr = Mat(len(comp), amb[u])
+            for c, i in enumerate(comp):
+                pr.a[c][i] = F1
+            for row, piv in zip(sp.rows, sp.pivots):
+                for c, i in enumerate(comp):
+                    pr.a[c][piv] = -row[i]
+            proj[u] = pr
             section_cols[u] = comp
         z_mats = {}
         for a in self.rq.arrows:
+            # the section takes the free columns of the sum of the middles
             big = block_diag([t.mats[a.id] for t in targets])
-            sec = Mat(big.cols, z_dims[a.src])
-            for c, pos in enumerate(section_cols[a.src]):
-                sec.a[pos][c] = F1
-            z_mats[a.id] = proj[a.tgt].mul(big).mul(sec)
+            cols = section_cols[a.src]
+            sec = Mat(big.rows, len(cols), [[row[c] for c in cols] for row in big.a])
+            z_mats[a.id] = proj[a.tgt].mul(sec)
         z = len(self.indecs)
         self.indecs.append(Indec(z, z_dims, self.q.vertices, z_mats, ind.slice + 1))
         self.arrows_out[z] = []

@@ -23,6 +23,11 @@ builder, its least rank and the symbol the reports print, in the order the
 CLI offers them.  naming_failure is the one guard that re-raises an
 invariant failure with the family, the rank and the silting object or
 table row it was met at.
+
+This module holds only what a census or an enumeration runs.  The
+verification helpers the tables report alone reads (the fork-orbit and
+delta counts, the star map and its cross-check) live in `papertables`,
+and the realization complex in `realization`.
 """
 
 from collections import Counter, namedtuple
@@ -31,8 +36,6 @@ from contextlib import contextmanager
 from .arcatalog import knit_catalog
 from .endo import TwoTermHomCalc, end_algebra
 from .quivers import (
-    Path,
-    QuiverWithRelations,
     are_isomorphic,
     b_reversed_quiver,
     connected_components,
@@ -40,21 +43,17 @@ from .quivers import (
     d_reversed_quiver,
     global_dimension,
     is_gentle,
-    is_gradable,
     is_string_algebra,
     iso_fingerprint,
     line_quiver,
-    monomial_relation,
     qwr_to_json,
     zero_paths,
 )
 from .silting import (
     enumerate_two_term_silting,
-    is_silting,
     is_two_term_tilting,
     silting_object_json,
     silting_to_json,
-    two_term,
 )
 
 Family = namedtuple("Family", "quiver least_rank symbol")
@@ -385,165 +384,6 @@ def classify_family(spec, n_cap=N_CAP, keep=None):
             yield rec
 
     return kept, census_summary(spec, stream())
-
-
-# ---- survival counts up to the fork symmetry -------------------------------
-
-
-def fork_orbit_count(cat, objs):
-    """Module-set count identifying the two fork vertices of a D quiver."""
-    verts = list(cat.q.vertices)
-    if verts[:2] != [1, 2]:
-        raise ValueError("fork orbit counting expects vertices 1, 2 up front")
-    seen = set()
-    orbits = 0
-    for t in objs:
-        key = tuple(sorted(cat.dim_vector(x) for x in t.modules)) + (tuple(t.shifted),)
-        if key in seen:
-            continue
-        dims = [list(cat.dim_vector(x)) for x in t.modules]
-        twin_mods = tuple(sorted(tuple([d[1], d[0]] + d[2:]) for d in dims))
-        twin_sh = tuple(sorted({1: 2, 2: 1}.get(v, v) for v in t.shifted))
-        seen.add(key)
-        seen.add(twin_mods + (twin_sh,))
-        orbits += 1
-    return orbits
-
-
-def tm_lambda_enumerated(cat, tilts, m):
-    """Fork-orbit count of the tilting modules `tilts` over the D catalog
-    `cat` whose every summand survives m inverse translates."""
-    surviving = [
-        t for t in tilts if all(cat.tau_inv_iterated(x, m) is not None for x in t.modules)
-    ]
-    return fork_orbit_count(cat, surviving)
-
-
-def delta_enumerated(cat, tilts):
-    """The tilting modules `tilts` of a linear A catalog `cat`, counted by
-    the slice of their rightmost summand."""
-    out = [0] * len(cat.q.vertices)
-    for t in tilts:
-        out[max(cat.indecs[x].slice for x in t.modules)] += 1
-    return out
-
-
-# ---- star operator ----------------------------------------------------------
-
-
-def star_map(n):
-    """The summand-level bijection between the reversed and linear windows.
-
-    Returns (gamma catalog, lambda catalog, star) where star sends a
-    silting object over the reversed quiver to one over the linear quiver:
-    reflection on modules, the simple at the reversed vertex trades places
-    with the shifted projective there.
-    """
-    gcat = get_catalog(AlgebraSpec("d-reversed", n))
-    lcat = get_catalog(AlgebraSpec("d-linear", n))
-    simple_n = gcat.by_dim[tuple(1 if v == n else 0 for v in gcat.q.vertices)]
-
-    def reflect(x):
-        d = list(gcat.dim_vector(x))
-        nd = tuple(d[: n - 1] + [d[n - 2] - d[n - 1]])
-        return lcat.by_dim[nd]
-
-    def star(s):
-        mods, shifts = [], []
-        for x in s.modules:
-            if x == simple_n:
-                shifts.append(n)
-            else:
-                mods.append(reflect(x))
-        for v in s.shifted:
-            if v == n:
-                mods.append(lcat.proj(n))
-            else:
-                shifts.append(v)
-        return two_term(mods, shifts)
-
-    return gcat, lcat, star
-
-
-def star_crosscheck(n, gamma_objs, lambda_objs):
-    """Verify that star maps the reversed-source silting objects
-    `gamma_objs` of rank n one to one onto the linear ones `lambda_objs`."""
-    gcat, lcat, star = star_map(n)
-    gspec = AlgebraSpec("d-reversed", n)
-    gs, ls = gamma_objs, set(lambda_objs)
-    images = set()
-    for s in gs:
-        with naming_failure(gspec, lambda: _object_text(gcat, s)):
-            t = star(s)
-            if not is_silting(t, lcat):
-                return {"ok": False, "reason": f"image of {s} is not silting"}
-        images.add(t)
-    ok = len(images) == len(gs) and images == ls
-    return {"ok": ok, "gammaCount": len(gs), "lambdaCount": len(ls), "matched": len(images)}
-
-
-# ---- realization complexes --------------------------------------------------
-
-
-def expected_realization_end(n):
-    """The D_n line-with-fork quiver with the single cubic zero relation."""
-    q = d_linear_quiver(n)
-    return QuiverWithRelations(q, [monomial_relation(Path(5, 1, (4, 3, 1)))])
-
-
-def realization_complex(orientation, n):
-    """The explicit 2-term tilting complex whose heart detects the
-    realization-functor failure, with its verification report.
-
-    orientation 'linear': tau^{-1}P(1) + sum_{i>=5} tau^{-1}P(i) + I(2)
-    + I(n-1) + the shifted projective P(n)[1].  orientation 'reversed':
-    tau^{-2}P(1) + sum_{5<=i<n} tau^{-2}P(i) + tau^{-1}P(n) + P(2)[1]
-    + P(n-1)[1] + P(n)[1].
-    """
-    if n < 5:
-        raise ValueError("the realization construction needs n >= 5")
-    if orientation == "linear":
-        spec = AlgebraSpec("d-linear", n)
-        cat = get_catalog(spec)
-        mods = [cat.tau_inv(cat.proj(1))]
-        mods += [cat.tau_inv(cat.proj(i)) for i in range(5, n + 1)]
-        mods += [cat.inj(2), cat.inj(n - 1)]
-        s = two_term(mods, [n])
-    elif orientation == "reversed":
-        spec = AlgebraSpec("d-reversed", n)
-        cat = get_catalog(spec)
-        t2 = lambda x: cat.tau_inv(cat.tau_inv(x))
-        mods = [t2(cat.proj(1))]
-        mods += [t2(cat.proj(i)) for i in range(5, n)]
-        mods.append(cat.tau_inv(cat.proj(n)))
-        s = two_term(mods, [2, n - 1, n])
-    else:
-        raise ValueError("orientation must be 'linear' or 'reversed'")
-    with naming_failure(spec, lambda: _object_text(cat, s)):
-        ep = end_algebra(s, cat)
-        expected = expected_realization_end(n)
-        report = {
-            "orientation": orientation,
-            "n": n,
-            "isSilting": is_silting(s, cat),
-            "isTiltingComplex": is_two_term_tilting(s, cat),
-            "endMatchesExpected": are_isomorphic(ep.qwr, expected),
-            "gradable": is_gradable(ep.qwr.quiver),
-            "relationCount": len(ep.qwr.relations),
-            "relationLengths": sorted(
-                {p.length for r in ep.qwr.relations for _c, p in r.terms}
-            ),
-            "idealNonzero": bool(ep.qwr.relations),
-        }
-    report["hypothesesVerified"] = (
-        report["isSilting"]
-        and report["isTiltingComplex"]
-        and report["endMatchesExpected"]
-        and report["gradable"]
-        and report["idealNonzero"]
-        and all(l >= 3 for l in report["relationLengths"])
-    )
-    return s, ep, report
 
 
 def records_to_json(spec, records, summary):

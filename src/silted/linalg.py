@@ -6,7 +6,10 @@ are Python ints with an exact Fraction fallback: `Mat` keeps int entries
 and converts any other entry with Fraction, and `Subspace` divides only by
 a pivot that is not +-1, through a Fraction.  Integral data reduced over
 unit pivots therefore stay int, and mixed int/Fraction arithmetic is exact
-on any other input.  There is no floating point anywhere in the package.
+on any other input.  `fractions` is imported where the fallback is first
+taken, not here: the knits, censuses and enumerations of the package's
+families have only ever met unit pivots, so they run without it.  There
+is no floating point anywhere in the package.
 
 The routines, one per job:
   * `Subspace` keeps a span in reduced row echelon form; its `add` is the
@@ -21,10 +24,16 @@ The routines, one per job:
   * `block_diag` is the one builder of block-diagonal matrices.
 """
 
-from fractions import Fraction
-
 F0 = 0
 F1 = 1
+
+
+def fraction(x):
+    """x as an exact Fraction: the package's one Fraction constructor,
+    which imports `fractions` on its first call."""
+    from fractions import Fraction
+
+    return Fraction(x)
 
 
 class Mat:
@@ -45,7 +54,7 @@ class Mat:
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match shape")
-            self.a = [[x if type(x) is int else Fraction(x) for x in r] for r in entries]
+            self.a = [[x if type(x) is int else fraction(x) for x in r] for r in entries]
 
     @staticmethod
     def from_columns(cols_list, rows):
@@ -151,7 +160,7 @@ class Subspace:
         if pv == -1:
             v = [-x for x in v]
         elif pv != 1:
-            inv = Fraction(1) / pv
+            inv = 1 / fraction(pv)
             v = [x * inv for x in v]
         # keep earlier rows fully reduced
         for row in self.rows:

@@ -6,6 +6,11 @@ evaluators and, where the rank is within the enumeration budget, against
 direct enumeration.  Known convention differences between module-level
 enumeration and the closed forms are listed as documented exceptions and
 do not fail the report.
+
+The enumerated side of the tm_lambda_enum, delta_row and star_bijection
+rows is computed here too (fork_orbit_count, tm_lambda_enumerated,
+delta_enumerated, star_map, star_crosscheck): the report is their one
+caller, so a census or an enumeration never loads them.
 """
 
 import csv
@@ -15,16 +20,14 @@ from . import formulas as F
 from .census import (
     N_CAP,
     AlgebraSpec,
+    _object_text,
     census_records,
     census_summary,
     classify_family,
-    delta_enumerated,
     get_catalog,
     naming_failure,
-    star_crosscheck,
-    tm_lambda_enumerated,
 )
-from .silting import enumerate_tilting_modules
+from .silting import enumerate_tilting_modules, is_silting, two_term
 
 REFERENCE = {
     # counting tables for the linear A family
@@ -87,6 +90,101 @@ SUMMARY_ROWS = (
 
 # (quantity, the linear-census labels whose class counts it sums), in report order
 LABEL_ROWS = (("b247", ("B2", "B4", "B7")), ("b3", ("B3",)), ("b5", ("B5",)), ("b6", ("B6",)))
+
+
+# ---- survival counts up to the fork symmetry -------------------------------
+
+
+def fork_orbit_count(cat, objs):
+    """Module-set count identifying the two fork vertices of a D quiver."""
+    verts = list(cat.q.vertices)
+    if verts[:2] != [1, 2]:
+        raise ValueError("fork orbit counting expects vertices 1, 2 up front")
+    seen = set()
+    orbits = 0
+    for t in objs:
+        key = tuple(sorted(cat.dim_vector(x) for x in t.modules)) + (tuple(t.shifted),)
+        if key in seen:
+            continue
+        dims = [list(cat.dim_vector(x)) for x in t.modules]
+        twin_mods = tuple(sorted(tuple([d[1], d[0]] + d[2:]) for d in dims))
+        twin_sh = tuple(sorted({1: 2, 2: 1}.get(v, v) for v in t.shifted))
+        seen.add(key)
+        seen.add(twin_mods + (twin_sh,))
+        orbits += 1
+    return orbits
+
+
+def tm_lambda_enumerated(cat, tilts, m):
+    """Fork-orbit count of the tilting modules `tilts` over the D catalog
+    `cat` whose every summand survives m inverse translates."""
+    surviving = [
+        t for t in tilts if all(cat.tau_inv_iterated(x, m) is not None for x in t.modules)
+    ]
+    return fork_orbit_count(cat, surviving)
+
+
+def delta_enumerated(cat, tilts):
+    """The tilting modules `tilts` of a linear A catalog `cat`, counted by
+    the slice of their rightmost summand."""
+    out = [0] * len(cat.q.vertices)
+    for t in tilts:
+        out[max(cat.indecs[x].slice for x in t.modules)] += 1
+    return out
+
+
+# ---- star operator ----------------------------------------------------------
+
+
+def star_map(n):
+    """The summand-level bijection between the reversed and linear windows.
+
+    Returns (gamma catalog, lambda catalog, star) where star sends a
+    silting object over the reversed quiver to one over the linear quiver:
+    reflection on modules, the simple at the reversed vertex trades places
+    with the shifted projective there.
+    """
+    gcat = get_catalog(AlgebraSpec("d-reversed", n))
+    lcat = get_catalog(AlgebraSpec("d-linear", n))
+    simple_n = gcat.by_dim[tuple(1 if v == n else 0 for v in gcat.q.vertices)]
+
+    def reflect(x):
+        d = list(gcat.dim_vector(x))
+        nd = tuple(d[: n - 1] + [d[n - 2] - d[n - 1]])
+        return lcat.by_dim[nd]
+
+    def star(s):
+        mods, shifts = [], []
+        for x in s.modules:
+            if x == simple_n:
+                shifts.append(n)
+            else:
+                mods.append(reflect(x))
+        for v in s.shifted:
+            if v == n:
+                mods.append(lcat.proj(n))
+            else:
+                shifts.append(v)
+        return two_term(mods, shifts)
+
+    return gcat, lcat, star
+
+
+def star_crosscheck(n, gamma_objs, lambda_objs):
+    """Verify that star maps the reversed-source silting objects
+    `gamma_objs` of rank n one to one onto the linear ones `lambda_objs`."""
+    gcat, lcat, star = star_map(n)
+    gspec = AlgebraSpec("d-reversed", n)
+    gs, ls = gamma_objs, set(lambda_objs)
+    images = set()
+    for s in gs:
+        with naming_failure(gspec, lambda: _object_text(gcat, s)):
+            t = star(s)
+            if not is_silting(t, lcat):
+                return {"ok": False, "reason": f"image of {s} is not silting"}
+        images.add(t)
+    ok = len(images) == len(gs) and images == ls
+    return {"ok": ok, "gammaCount": len(gs), "lambdaCount": len(ls), "matched": len(images)}
 
 
 class TableReport:

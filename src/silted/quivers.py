@@ -14,10 +14,9 @@ algebra.  The AR catalog builds its minimal presentations from two steps
 over the hereditary base.
 
 `_ideal_words` decides once per presentation, from its ideal spans,
-whether the ideal is monomial and which paths generate it.  String,
-gentle and the effective-intersection count read those words: the
-(S1)-(S3) and gentle conditions are conditions on the length-2 words
-(Butler-Ringel).
+whether the ideal is monomial and which paths generate it.  String and
+gentle read those words: the (S1)-(S3) and gentle conditions are
+conditions on the length-2 words (Butler-Ringel).
 
 `global_dimension` takes one rule for every ideal, monomial or not; its
 docstring states the rule.
@@ -29,10 +28,9 @@ only matches zero paths under quiver isomorphisms.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import F0, F1, Mat, Subspace, block_diag, integer_solve, kernel
+from .linalg import F0, F1, Mat, Subspace, block_diag, fraction, integer_solve, kernel
 
 
 Arrow = namedtuple("Arrow", "id src tgt")
@@ -282,26 +280,6 @@ def _ideal_words(qwr):
     return qwr._words
 
 
-def _relation_words(qwr):
-    """The relation words that contain no other relation word; exact when
-    every relation is a single path, since they then generate I.
-
-    A test oracle: no code in the package calls it.
-    test_relation_words_match_the_ideal_spans_on_censuses compares it with
-    `_span_words` on every monomial census component.
-    """
-    words = {rel.terms[0][1].arrows for rel in qwr.relations}
-    return frozenset(
-        w for w in words
-        if not any(
-            w[i:j] in words
-            for i in range(len(w))
-            for j in range(i + 2, len(w) + 1)
-            if j - i < len(w)
-        )
-    )
-
-
 def _span_words(qwr):
     """The minimal generating paths of I read off the ideal spans, or None.
 
@@ -399,27 +377,6 @@ def connected_components(qwr):
             comp._ideal = {k: v for k, v in qwr._ideal.items() if k[0] in vset}
         comps.append(comp)
     return comps
-
-
-def is_gradable(q):
-    """True iff a vertex grading exists raising degree by 1 along every arrow
-    (equivalently every undirected closed walk has signed degree zero)."""
-    deg = {}
-    for start in q.vertices:
-        if start in deg:
-            continue
-        deg[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            steps = [(a.tgt, 1) for a in q.out_arrows[v]] + [(a.src, -1) for a in q.in_arrows[v]]
-            for w, step in steps:
-                if w not in deg:
-                    deg[w] = deg[v] + step
-                    stack.append(w)
-                elif deg[w] != deg[v] + step:
-                    return False
-    return True
 
 
 # ---- bound quiver algebra modules and global dimension -------------------
@@ -691,72 +648,6 @@ def _pd_by_resolution(alg, v):
             raise AssertionError("projective resolution did not terminate")
 
 
-# ---- effective intersections on a line -----------------------------------
-
-
-def _line_vertex_order(q):
-    """Vertex order along a linearly oriented A-type quiver, or None."""
-    if len(q.arrows) != len(q.vertices) - 1:
-        return None
-    starts = [v for v in q.vertices if not q.in_arrows[v]]
-    if len(starts) != 1:
-        return None
-    order = [starts[0]]
-    while q.out_arrows[order[-1]]:
-        outs = q.out_arrows[order[-1]]
-        if len(outs) != 1:
-            return None
-        order.append(outs[0].tgt)
-    return order if len(order) == len(q.vertices) else None
-
-
-def effective_intersection_count(qwr):
-    """Maximum size N of an effective chain of interval relations.
-
-    Relations on a linearly oriented line are intervals [i, j] in the
-    position order.  An effective chain is a subset which, ordered by
-    start, has consecutive members intersecting (i < r < j < s) and no
-    other intersections among its members.  The caller may then assert
-    gldim = N + 1 (checked against resolution-based global dimension in
-    the test suite, including chains that skip intermediate relations).
-    """
-    order = _line_vertex_order(qwr.quiver)
-    if order is None:
-        raise ValueError("effective_intersection_count needs a linearly oriented line")
-    if not all(rel.is_monomial() for rel in qwr.relations):
-        raise ValueError("effective_intersection_count needs monomial relations")
-    pos = {v: k for k, v in enumerate(order)}
-    arrow = qwr.quiver.arrow_by_id
-    # on a line a word is its interval, and a subword a subinterval
-    minimal = sorted((pos[arrow[w[0]].src], pos[arrow[w[-1]].tgt]) for w in _ideal_words(qwr))
-    if not minimal:
-        return 0
-
-    def intersects(p, q):
-        (i, j), (r, s) = sorted([p, q])
-        if (i, j) == (r, s):
-            return False
-        return i < r < j < s
-
-    best = 0
-    m = len(minimal)
-
-    def extend(chain, start):
-        nonlocal best
-        best = max(best, len(chain))
-        for k in range(start, m):
-            q = minimal[k]
-            if chain:
-                if not intersects(chain[-1], q):
-                    continue
-                if any(intersects(p, q) for p in chain[:-1]):
-                    continue
-            extend(chain + [q], k + 1)
-
-    extend([], 0)
-    return best
-
-
 # ---- isomorphism ----------------------------------------------------------
 
 
@@ -892,7 +783,9 @@ def _certified_zero_paths(qwr):
                 zeros.add(p)
             else:
                 b = plist[free[0]].arrows
-                constraints.append(([p.count(i) - b.count(i) for i in arrow_ids], Fraction(-1) / c))
+                # -1/c; the census components have shown only c = +-1
+                ratio = -c if c == 1 or c == -1 else fraction(-1) / c
+                constraints.append(([p.count(i) - b.count(i) for i in arrow_ids], ratio))
     if _solve_rescaling(arrow_ids, constraints) is None:
         return None
     return frozenset(zeros)
@@ -918,7 +811,8 @@ def _solve_rescaling(arrow_ids, constraints):
 
     Q* is {+-1} x (sum over primes p of Z), so the constraints split into
     one integer system per part: the sign part E x = s (mod 2), solved as
-    [E | 2I] (x, y) = s, and E x = v_p(ratio) for each prime p.
+    [E | 2I] (x, y) = s, and E x = v_p(ratio) for each prime p; ratios of
+    +-1 have no prime part, and only a prime part makes a Fraction.
     """
     weights = {aid: F1 for aid in arrow_ids}
     if not constraints:
@@ -945,7 +839,7 @@ def _solve_rescaling(arrow_ids, constraints):
         if sol is None:
             return None
         for aid, x in zip(arrow_ids, sol):
-            weights[aid] *= Fraction(p) ** x
+            weights[aid] *= fraction(p) ** x
     return weights
 
 

@@ -13,25 +13,22 @@ import pytest
 
 from silted import formulas as F
 from silted.arcatalog import knit_catalog
-from silted.census import (
-    AlgebraSpec,
-    classify_family,
-    get_catalog,
-    realization_complex,
-    star_crosscheck,
-)
+from silted.census import AlgebraSpec, classify_family, get_catalog
 from silted.cli import run
+from silted.papertables import star_crosscheck
 from silted.quivers import (
     QuiverWithRelations,
     _gldim_by_resolution,
     d_linear_quiver,
     d_reversed_quiver,
-    effective_intersection_count,
     global_dimension,
     line_quiver,
     monomial_relation,
 )
+from silted.realization import realization_complex
 from silted.silting import enumerate_tilting_modules, enumerate_two_term_silting
+
+from oracles import effective_intersection_count
 
 
 def report(criterion, ok, detail=""):

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from silted.arcatalog import DynkinTypeError, TauUndefinedError, knit_catalog
+from silted.endo import TwoTermHomCalc
 from silted.quivers import (
     Arrow,
     Quiver,
@@ -9,6 +12,7 @@ from silted.quivers import (
     d_reversed_quiver,
     line_quiver,
 )
+from silted.silting import MOD, SHIFT
 
 
 def dimvec(cat, x):
@@ -275,3 +279,73 @@ def test_dim_vector_is_stored_once():
     for x, ind in enumerate(cat.indecs):
         assert cat.dim_vector(x) is cat.dim_vector(x)
         assert cat.dim_vector(x) == tuple(ind.dims[v] for v in cat.q.vertices)
+
+
+# ---- hom dimensions are the Euler form ---------------------------------------
+
+
+def euler_form(cat, x, y):
+    """<x, y> = sum_v x_v y_v - sum over arrows a of x_tgt(a) y_src(a)."""
+    dx, dy = cat.indecs[x].dims, cat.indecs[y].dims
+    return sum(dx[v] * dy[v] for v in cat.q.vertices) - sum(
+        dx[a.tgt] * dy[a.src] for a in cat.q.arrows
+    )
+
+
+@pytest.mark.parametrize(
+    "quiver", [d_linear_quiver(7), d_reversed_quiver(7), line_quiver(7), b_reversed_quiver(7)]
+)
+def test_hom_dims_are_the_euler_form(quiver):
+    # <x, y> = dim Hom(X, Y) - dim Ext^1(X, Y), and over a Dynkin quiver at
+    # most one of the two is nonzero for indecomposables X, Y, so
+    # dim Hom = max(0, <x, y>) (Ringel 1984); through the 2-term calc,
+    # dim Hom(M, P(v)[1]) = (tau M)_v and dim Hom(P(v)[1], P(w)[1]) = P(w)_v
+    cat = knit_catalog(quiver)
+    calc = TwoTermHomCalc(cat)
+    verts = cat.q.vertices
+    for x in range(len(cat)):
+        for y in range(len(cat)):
+            assert cat.hom_dim(x, y) == max(0, euler_form(cat, x, y)), (x, y)
+        tau = None if cat.is_projective(x) else cat.indecs[cat.tau(x)].dims
+        for v in verts:
+            want = 0 if tau is None else tau[v]
+            assert calc.space((MOD, x), (SHIFT, v)).dim == want, (x, v)
+    for v in verts:
+        for w in verts:
+            assert calc.space((SHIFT, v), (SHIFT, w)).dim == cat.indecs[cat.proj(w)].dims[v]
+
+
+# ---- knitting is byte-stable ---------------------------------------------------
+
+
+def catalog_digest(cat):
+    """sha256 over every indecomposable's AR data, matrices and irreducible
+    maps, entries as their str (an int and the equal Fraction agree)."""
+    h = hashlib.sha256()
+    for ind in cat.indecs:
+        h.update(repr((ind.id, ind.dim_vector, ind.slice, ind.proj_vertex, ind.inj_vertex)).encode())
+        for aid in sorted(ind.mats):
+            h.update(repr((aid, [list(map(str, r)) for r in ind.mats[aid].a])).encode())
+        h.update(repr(cat.tau_of.get(ind.id)).encode())
+        for tgt, maps in cat.arrows_out[ind.id]:
+            h.update(repr(tgt).encode())
+            for u in sorted(maps):
+                m = maps[u]
+                h.update(repr((u, m.rows, m.cols, [list(map(str, r)) for r in m.a])).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "quiver,digest",
+    [
+        (d_linear_quiver(7), "788446413c19e8ef1b5e5efad7aa516925dc93e25b343e4a4206f6452a19865b"),
+        (d_reversed_quiver(7), "c57b5de629a73eb1fd9065065f76c249d6ee2fd2ee87801c266348c226d385cf"),
+        (b_reversed_quiver(7), "3f8ba8b66674a3a40574d7ecd1cc678ca787b34338866fa707c118cbe9e8fe42"),
+        (d_linear_quiver(9), "bd4f13799bc0bd828014ed2d69bb9ad83e98bb3527845d11a4ee86ee58b9359a"),
+    ],
+)
+def test_knitted_catalogs_are_unchanged(quiver, digest):
+    # the mesh reads its cokernel projection off the reduced rows and its
+    # section off the free columns; the digests were taken when both were
+    # matrix products, over every unit vector and a 0/1 matrix
+    assert catalog_digest(knit_catalog(quiver)) == digest

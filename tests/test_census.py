@@ -16,18 +16,19 @@ from silted.census import (
     census_records,
     census_summary,
     classify_family,
-    delta_enumerated,
-    expected_realization_end,
     get_catalog,
     lambda_family_label,
-    realization_complex,
     records_to_json,
+)
+from silted.endo import TwoTermHomCalc, end_algebra
+from silted.papertables import (
+    TableReport,
+    delta_enumerated,
     star_crosscheck,
     star_map,
     tm_lambda_enumerated,
+    verify_tables,
 )
-from silted.endo import TwoTermHomCalc, end_algebra
-from silted.papertables import TableReport, verify_tables
 from silted.quivers import (
     Arrow,
     Path,
@@ -37,15 +38,14 @@ from silted.quivers import (
     Relation,
     _pd_by_resolution,
     _pds_from_dimensions,
-    _relation_words,
     _span_words,
     are_isomorphic,
     connected_components,
-    is_gradable,
     iso_fingerprint,
     qwr_to_json,
     zero_paths,
 )
+from silted.realization import expected_realization_end, is_gradable, realization_complex
 from silted.silting import enumerate_tilting_modules, enumerate_two_term_silting, is_silting, two_term
 
 
@@ -360,6 +360,22 @@ def test_pds_from_dimensions_match_resolution_on_censuses():
             assert undecided > 0
 
 
+def _relation_words(qwr):
+    """The relation words that contain no other relation word; exact when
+    every relation is a single path, since they then generate I.  The
+    oracle for `_span_words` on monomial census components."""
+    words = {rel.terms[0][1].arrows for rel in qwr.relations}
+    return frozenset(
+        w for w in words
+        if not any(
+            w[i:j] in words
+            for i in range(len(w))
+            for j in range(i + 2, len(w) + 1)
+            if j - i < len(w)
+        )
+    )
+
+
 def test_relation_words_match_the_ideal_spans_on_censuses():
     for family, n in (("d-linear", 5), ("d-reversed", 5), ("b", 6)):
         distinct = {}
@@ -450,13 +466,13 @@ def d_silting_lists(n):
 
 
 def test_star_crosscheck_failure_names_the_object(monkeypatch):
-    import silted.census
+    import silted.papertables
 
     def broken(s, cat):
         raise AssertionError("broken silting check")
 
     gs, ls = d_silting_lists(4)
-    monkeypatch.setattr(silted.census, "is_silting", broken)
+    monkeypatch.setattr(silted.papertables, "is_silting", broken)
     with pytest.raises(AssertionError, match=r"\(family d-reversed, n=4, silting object .+\)"):
         star_crosscheck(4, gs, ls)
 

@@ -266,12 +266,12 @@ def test_tables_failure_names_the_row(monkeypatch, capsys):
 
 
 def test_realization_failure_names_the_silting_object(monkeypatch, capsys):
-    import silted.census
+    import silted.realization
 
     def broken(s, cat, calc=None):
         raise AssertionError("broken End")
 
-    monkeypatch.setattr(silted.census, "end_algebra", broken)
+    monkeypatch.setattr(silted.realization, "end_algebra", broken)
     code = run(["realization", "--orientation", "linear", "--n", "5"])
     assert code == 3
     err = capsys.readouterr().err
@@ -442,7 +442,10 @@ sys.exit(silted.cli.run(["count", "t_a", "--n", "6"]))
 def test_cli_start_up_skips_class_machinery_and_closed_forms():
     # -S: no site, so no .pth file can preload a module the package avoids
     src = str(Path(__file__).resolve().parent.parent / "src")
-    unwanted = ["dataclasses", "inspect", "typing", "silted.formulas", "silted.papertables"]
+    unwanted = [
+        "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
+        "silted.formulas", "silted.papertables", "silted.realization",
+    ]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _STARTUP_PROBE, src, *unwanted],
         capture_output=True,
@@ -450,6 +453,36 @@ def test_cli_start_up_skips_class_machinery_and_closed_forms():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n132\n"
+
+
+_NO_FRACTIONS_PROBE = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+import silted.cli
+sys.stdout = open(os.devnull, "w")
+codes = [silted.cli.run(argv.split()) for argv in sys.argv[2:]]
+sys.stdout = sys.__stdout__
+print(codes, "fractions" in sys.modules)
+"""
+
+
+def test_censuses_and_enumeration_run_without_fractions():
+    # every scalar these runs meet is an int: unit pivots and the zero-path
+    # ratios +-1, so linalg and quivers never take their Fraction fallback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        "classify --family d-linear --n 5",
+        "classify --family d-reversed --n 5",
+        "classify --family b --n 5",
+        "enumerate --family d-linear --n 6",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _NO_FRACTIONS_PROBE, src, *runs],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0] False\n"
 
 
 # ---- the JSON writer ----------------------------------------------------------

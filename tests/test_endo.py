@@ -4,7 +4,7 @@ import random
 import pytest
 
 from silted.arcatalog import knit_catalog
-from silted.census import AlgebraSpec, get_catalog, realization_complex
+from silted.census import AlgebraSpec, get_catalog
 from silted.endo import MOD, SHIFT, EndPresentation, TwoTermHomCalc, end_algebra
 from silted.linalg import F0, F1, Mat, Subspace, nullspace
 from silted.quivers import (
@@ -20,6 +20,7 @@ from silted.quivers import (
     monomial_relation,
     Path,
 )
+from silted.realization import realization_complex
 from silted.silting import enumerate_two_term_silting, two_term
 
 

@@ -20,10 +20,8 @@ from silted.quivers import (
     connected_components,
     d_linear_quiver,
     d_reversed_quiver,
-    effective_intersection_count,
     global_dimension,
     is_gentle,
-    is_gradable,
     is_string_algebra,
     iso_fingerprint,
     line_quiver,
@@ -33,7 +31,10 @@ from silted.quivers import (
     trivial_path,
     zero_paths,
 )
+from silted.realization import is_gradable
 from fractions import Fraction
+
+from oracles import effective_intersection_count
 
 
 def path(q, *arrow_ids):
@@ -478,6 +479,21 @@ def test_zero_paths_certify_the_commutative_form():
     assert zero_paths(octahedron(-1, kill_top=True)) == top
     # the square without a relation is not Schurian
     assert zero_paths(QuiverWithRelations(q)) is None
+
+
+def test_zero_paths_weigh_a_scalar_other_than_one():
+    # the census components show only the scalars +-1, whose ratio -1/c
+    # stays an int; p - 2q asks for the Fraction 1/2, and is p - q after
+    # a weight 2 on one arrow
+    sq = square_qwr(coef=-2)
+    assert zero_paths(sq) == frozenset()
+    assert are_isomorphic(sq, square_qwr())
+    # the octahedron with its (3, 6) square written p - 2q kills its top,
+    # and its squares ask for the ratios 1, 1, 1 and 1/2; the squares'
+    # exponent rows satisfy e1 - e2 = e3 - e4, so no weights give 1 = 2
+    twisted = octahedron(-2)
+    assert twisted.ideal_spans()[(1, 6)].dim == 4
+    assert zero_paths(twisted) is None
 
 
 def test_iso_rejects_presentations_outside_their_commutative_form():
